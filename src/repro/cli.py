@@ -397,12 +397,9 @@ def cmd_optimize_batch(args) -> int:
                 args.template_cache,
                 registry,
                 max_templates=args.template_cache_size,
-                guardrail=args.guardrail,
             )
         else:
-            template_cache = TemplateCache(
-                max_templates=args.template_cache_size, guardrail=args.guardrail
-            )
+            template_cache = TemplateCache(max_templates=args.template_cache_size)
     platforms = tuple(n.strip() for n in args.platforms.split(","))
     if resilient:
         factory = resilient_robopt_factory(
@@ -582,8 +579,8 @@ def cmd_serve(args) -> int:
             cache = PlanCache.load(args.cache, registry, max_entries=args.cache_size)
         else:
             cache = PlanCache(max_entries=args.cache_size)
-    # The template tier is opt-in: it may serve guardrail-bounded (not
-    # bit-exact) answers, so the operator enables it deliberately.
+    # The template tier is opt-in: it serves re-costed (not bit-exact)
+    # answers, so the operator enables it deliberately.
     template_cache = None
     if args.template_cache:
         if os.path.exists(args.template_cache):
@@ -591,12 +588,9 @@ def cmd_serve(args) -> int:
                 args.template_cache,
                 registry,
                 max_templates=args.template_cache_size,
-                guardrail=args.guardrail,
             )
         else:
-            template_cache = TemplateCache(
-                max_templates=args.template_cache_size, guardrail=args.guardrail
-            )
+            template_cache = TemplateCache(max_templates=args.template_cache_size)
     platforms = tuple(n.strip() for n in args.platforms.split(","))
     if resilient:
         factory = resilient_robopt_factory(
@@ -792,17 +786,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--template-cache", default=None, metavar="PATH",
         help="JSON template-cache file: enables the second cache tier "
-        "(cardinality-stripped template keys, guardrailed candidate "
+        "(cardinality-stripped template keys, re-costed candidate "
         "reuse; loaded if present, saved after the run)",
     )
     batch.add_argument(
         "--template-cache-size", type=int, default=256,
         help="LRU bound on distinct templates",
-    )
-    batch.add_argument(
-        "--guardrail", type=float, default=1.2,
-        help="serve a template candidate only when its re-costed runtime "
-        "is within this factor of the cheapest candidate (>= 1.0)",
     )
     batch.add_argument("--out", default=None, help="write per-job results as JSONL")
     batch.add_argument(
@@ -910,11 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--template-cache-size", type=int, default=256,
         help="LRU bound on distinct templates",
-    )
-    serve.add_argument(
-        "--guardrail", type=float, default=1.2,
-        help="serve a template candidate only when its re-costed runtime "
-        "is within this factor of the cheapest candidate (>= 1.0)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=64,

@@ -239,8 +239,7 @@ class RuntimeModel:
         ``std_seconds = exp(mean_log) * std_log`` — the local slope of
         the inverse transform. The relative spread ``std/mean`` is
         therefore ≈ the log-space std, which is the convention every
-        uncertainty consumer (variance guard, template selector, risk
-        ranking) shares.
+        uncertainty consumer (variance guard, risk ranking) shares.
 
         A regressor without ``predict_dist`` (linear, MLP, boosting —
         deterministic single predictors with no ensemble to disagree)

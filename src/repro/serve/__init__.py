@@ -12,13 +12,15 @@ subpackage provides the batch layer on top of any
   :class:`PlanCache` with hit/miss counters and JSON persistence;
 * :mod:`repro.serve.template` — the second cache tier:
   :class:`TemplateCache`, keyed by cardinality-*stripped* template
-  fingerprints, holding per-template candidate sets with a learned
-  (random-forest) selector and a re-costing guardrail, so parametric
-  workloads whose cardinalities never repeat still reuse plans safely;
+  fingerprints, holding per-template candidate sets that are re-costed
+  with the live model at every lookup (the cheapest is served; a
+  template with several optima only near a cardinality where one was
+  observed), so parametric workloads whose cardinalities never repeat
+  still reuse plans safely;
 * :mod:`repro.serve.batch` — :class:`BatchOptimizationService`:
   warm-worker process-pool parallelism (CPU-affinity-aware sizing,
   workers initialized once and reused across batches), per-job timeouts,
-  graceful serial fallback, within-batch and in-flight deduplication,
+  graceful serial fallback, within-batch deduplication,
   singleton-enumeration memoization, and tail-latency percentiles;
 * :mod:`repro.serve.protocol` — the versioned wire schema
   (``OptimizeRequest``/``OptimizeResponse``/``ErrorResponse`` frames,
@@ -57,7 +59,6 @@ from repro.serve.template import (
     TemplateCache,
     TemplateCacheStats,
     TemplateCandidate,
-    template_features,
     template_fingerprint,
 )
 from repro.serve.protocol import (
@@ -94,7 +95,6 @@ __all__ = [
     "TemplateCacheStats",
     "TemplateCandidate",
     "template_fingerprint",
-    "template_features",
     # wire protocol
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -17,13 +17,13 @@ and drives them through any :class:`repro.api.Optimizer`:
   pool — the unfinished jobs fail, the warm pool is discarded, and the
   next dispatch spawns a fresh one. A broken pool or an unpicklable
   optimizer factory degrades gracefully to serial execution.
-* **Plan cache with in-flight dedupe** — an optional fingerprint-keyed
+* **Plan cache with batch-local dedupe** — an optional fingerprint-keyed
   :class:`~repro.serve.cache.PlanCache`, shared across every worker
   (lookups happen in the parent before dispatch; fresh results are
   published back after). Within a batch, jobs sharing a fingerprint are
-  optimized once; *across concurrent batches*, a fingerprint whose
-  optimization is already in flight on a sibling thread coalesces onto
-  that computation instead of re-enumerating (``coalesced`` outcomes).
+  optimized once. The service is entered one batch at a time (the
+  daemon's dispatcher and the CLI are single-threaded callers);
+  coalescing *across* clients is the daemon's job.
 * **Singleton memoization** — the serial path (and each pool worker)
   shares one singleton-enumeration memo, so identical subplans are
   vectorized once (see :func:`repro.core.operations.enumerate_singleton`);
@@ -162,7 +162,7 @@ def _optimize_with_deadline(
 
 
 def _dedupe_key(fingerprint: str, deadline_ms: Optional[float]) -> str:
-    """The equivalence key for collapsing/coalescing jobs.
+    """The equivalence key for collapsing same-fingerprint jobs.
 
     A deadline is part of the answer's identity: a 10 ms budget may
     legitimately produce a degraded plan that a deadline-free sibling of
@@ -221,12 +221,9 @@ class JobOutcome:
     worker_died: bool = False
     #: The job was refused dispatch (its fingerprint is quarantined).
     quarantined: bool = False
-    #: The job coalesced onto a sibling's in-flight computation of the
-    #: same fingerprint instead of enumerating again.
-    coalesced: bool = False
-    #: The job was served by the template tier: a cached candidate
-    #: re-costed at this job's cardinalities and accepted under the
-    #: guardrail (``cached`` is also True for these).
+    #: The job was served by the template tier: the cheapest cached
+    #: candidate re-costed at this job's cardinalities (``cached`` is
+    #: also True for these).
     template_hit: bool = False
 
 
@@ -308,11 +305,6 @@ class BatchReport:
     def n_quarantined(self) -> int:
         return sum(1 for o in self.outcomes if o.quarantined)
 
-    @property
-    def n_coalesced(self) -> int:
-        """Jobs served by a sibling's in-flight computation."""
-        return sum(1 for o in self.outcomes if o.coalesced)
-
     def latency_percentiles(self) -> Dict[str, float]:
         """Per-job latency percentiles over the completed *measured* jobs.
 
@@ -384,7 +376,6 @@ class BatchReport:
             "n_degraded": self.n_degraded,
             "n_retried": self.n_retried,
             "n_quarantined": self.n_quarantined,
-            "n_coalesced": self.n_coalesced,
         }
 
 
@@ -727,7 +718,7 @@ class BatchOptimizationService:
     template_cache:
         An optional :class:`~repro.serve.template.TemplateCache`: the
         second cache tier. Exact-fingerprint misses consult it; a
-        guardrailed template hit answers the job without enumeration,
+        template hit answers the job without enumeration,
         and every fresh (non-degraded) result is folded back into its
         template's candidate set. Requires an optimizer exposing
         ``model`` and ``schema`` (possibly behind ``.inner`` wrappers)
@@ -798,11 +789,6 @@ class BatchOptimizationService:
         self.quarantine = Quarantine(threshold=quarantine_after)
         self._optimizer: Optional[Optimizer] = None
         self._pool = _WarmWorkerPool(optimizer_factory, memoize_singletons, max(workers, 1))
-        # In-flight table: dedupe key (fingerprint + deadline class, see
-        # _dedupe_key) -> the Future computing it right now. Concurrent
-        # batches coalesce onto it.
-        self._inflight: Dict[str, Future] = {}
-        self._inflight_lock = threading.Lock()
         self.feedback = feedback
         self.model_path = model_path
         #: Bumped on every :meth:`install_model`; lets stats frames and
@@ -1053,10 +1039,10 @@ class BatchOptimizationService:
                             tags=job.tags,
                         )
                         continue
-                # Second tier: the template cache. A guardrailed hit —
-                # a remembered candidate re-costed at *this* job's
-                # cardinalities — answers without enumeration; anything
-                # unsure falls through to the full optimizer.
+                # Second tier: the template cache. A hit — the cheapest
+                # remembered candidate re-costed at *this* job's
+                # cardinalities — answers without enumeration; a refusal
+                # falls through to the full optimizer.
                 if self.template_cache is not None:
                     recost = self._template_recoster()
                     if recost is not None:
@@ -1141,7 +1127,7 @@ class BatchOptimizationService:
             dispatched: Dict[str, JobOutcome] = {}
             for group, isolate in groups:
                 got, used_mode = self._dispatch(
-                    group, prepared, fingerprints, tracer, isolate=isolate
+                    group, prepared, tracer, isolate=isolate
                 )
                 dispatched.update(got)
                 if used_mode == "pool":
@@ -1231,7 +1217,6 @@ class BatchOptimizationService:
         self,
         todo: List[BatchJob],
         prepared: Dict[str, LogicalPlan],
-        fingerprints: Dict[str, str],
         tracer,
         isolate: bool = False,
     ):
@@ -1243,9 +1228,7 @@ class BatchOptimizationService:
                 else self._pool
             )
             try:
-                pool_outcomes = self._run_pool(
-                    todo, prepared, fingerprints, tracer, pool
-                )
+                pool_outcomes = self._run_pool(todo, prepared, tracer, pool)
             finally:
                 if isolate:
                     pool.discard()
@@ -1292,7 +1275,6 @@ class BatchOptimizationService:
         self,
         todo: List[BatchJob],
         prepared: Dict[str, LogicalPlan],
-        fingerprints: Dict[str, str],
         tracer,
         pool: _WarmWorkerPool,
     ) -> Optional[Dict[str, JobOutcome]]:
@@ -1321,11 +1303,6 @@ class BatchOptimizationService:
         deadline = None if self.timeout_s is None else submitted + self.timeout_s
         outcomes: Dict[str, JobOutcome] = {}
         future_jobs: Dict[Future, BatchJob] = {}
-        own_fps: List[str] = []
-        coalesced: List[Tuple[BatchJob, Future]] = []
-        # In-flight dedupe shares the cache's equivalence semantics, so it
-        # is only active when a cache is configured.
-        dedupe = self.cache is not None
         broken: Optional[str] = None
         try:
             with tracer.span(
@@ -1336,23 +1313,10 @@ class BatchOptimizationService:
             ):
                 for job in todo:
                     payload = plan_to_json(prepared[job.job_id], indent=0)
-                    key = _dedupe_key(fingerprints[job.job_id], job.deadline_ms)
                     try:
-                        if dedupe:
-                            with self._inflight_lock:
-                                sibling = self._inflight.get(key)
-                                if sibling is not None:
-                                    coalesced.append((job, sibling))
-                                    continue
-                                future = executor.submit(
-                                    _worker_run, job.job_id, payload, job.deadline_ms
-                                )
-                                self._inflight[key] = future
-                                own_fps.append(key)
-                        else:
-                            future = executor.submit(
-                                _worker_run, job.job_id, payload, job.deadline_ms
-                            )
+                        future = executor.submit(
+                            _worker_run, job.job_id, payload, job.deadline_ms
+                        )
                     except Exception as exc:  # pool broke during submission
                         broken = f"{type(exc).__name__}: {exc}"
                         outcomes[job.job_id] = JobOutcome(
@@ -1414,55 +1378,7 @@ class BatchOptimizationService:
                         )
                         if tracer.enabled:
                             tracer.count("serve.jobs_timed_out")
-
-                # Jobs that coalesced onto a sibling thread's in-flight
-                # computation of the same fingerprint: await its result
-                # under the same deadline (the sibling owns the future).
-                for job, future in coalesced:
-                    try:
-                        remaining = None
-                        if deadline is not None:
-                            remaining = max(0.05, deadline - time.perf_counter())
-                        doc = future.result(timeout=remaining)
-                        outcome = self._outcome_from_doc(
-                            job, doc, time.perf_counter() - submitted
-                        )
-                        outcome.coalesced = True
-                        outcomes[job.job_id] = outcome
-                        if tracer.enabled:
-                            tracer.count("serve.jobs_coalesced")
-                    except FutureTimeout:
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=False,
-                            error=f"timeout after {self.timeout_s}s",
-                            duration_s=time.perf_counter() - submitted,
-                            timed_out=True,
-                            tags=job.tags,
-                        )
-                        if tracer.enabled:
-                            tracer.count("serve.jobs_timed_out")
-                    except BrokenProcessPool as exc:
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=False,
-                            error=f"BrokenProcessPool: {exc}",
-                            worker_died=True,
-                            tags=job.tags,
-                        )
-                    except Exception as exc:
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            duration_s=time.perf_counter() - submitted,
-                            tags=job.tags,
-                        )
         finally:
-            if own_fps:
-                with self._inflight_lock:
-                    for fp in own_fps:
-                        self._inflight.pop(fp, None)
             if broken is not None:
                 # A dead worker poisons the whole executor: discard it so
                 # the next dispatch round starts a fresh warm pool.

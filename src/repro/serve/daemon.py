@@ -20,7 +20,7 @@ socket and/or TCP:
   batch layer's dedupe, singleton memoization and warm-pool parallelism
   for free, and the service is only ever entered single-file.
 * **Cross-client coalescing** — a fingerprint-keyed in-flight table at
-  the daemon level (the asyncio twin of the service's ``_inflight``):
+  the daemon level (the only one: the service is entered single-file):
   while a fingerprint is being optimized for one client, identical
   requests from *any other connection* await that same computation
   instead of re-enumerating (``serve.jobs_coalesced``). Kepler's
@@ -39,9 +39,12 @@ socket and/or TCP:
   plus live p50/p95/p99 over the recent answered-request window. When
   the owned service carries a :class:`~repro.serve.template.TemplateCache`
   (``repro serve --template-cache``), its ``serve.template.*`` counters
-  (hits, misses, guardrail_rejects, low_confidence, ...) appear here
-  too — batches run under the daemon's tracer, so the second cache
-  tier is observable without any protocol change.
+  (hits, misses, guardrail_rejects — coverage refusals of
+  multi-candidate templates — recost_errors, ...) appear here too —
+  batches run under the daemon's tracer, so the second cache tier is
+  observable without any protocol change. So do ``serve.model_swaps``
+  and ``serve.feedback.*`` from a ``--feedback`` background retrain,
+  whose thread inherits the batch's tracer context.
 
 A malformed or version-mismatched frame yields an ``error`` response on
 that connection; no client input can raise past the serve loop.
@@ -156,6 +159,8 @@ class OptimizationDaemon:
         self._drained: Optional[asyncio.Event] = None
         self._shutdown_requested: Optional[asyncio.Event] = None
         self._servers: List[asyncio.AbstractServer] = []
+        #: Open connections: handler task -> (writer, its frame tasks).
+        self._connections: Dict[asyncio.Task, Tuple[Any, set]] = {}
         self._dispatcher: Optional[asyncio.Task] = None
         self._started_at = time.monotonic()
 
@@ -226,7 +231,8 @@ class OptimizationDaemon:
             self.tracer.event("serve.daemon.start", addresses=self.addresses)
 
     async def stop(self) -> None:
-        """Close the transports and the dispatcher; idempotent."""
+        """Close the transports, the dispatcher and every open client
+        connection; idempotent."""
         servers, self._servers = self._servers, []
         for server in servers:
             server.close()
@@ -242,6 +248,17 @@ class OptimizationDaemon:
             except asyncio.TimeoutError:  # pragma: no cover - hung worker
                 self._dispatcher.cancel()
             self._dispatcher = None
+        # A client may still hold its connection open. Let its in-flight
+        # frames answer, then close it so the handler returns on its own:
+        # a handler left for loop teardown to cancel logs a traceback.
+        connections, self._connections = self._connections, {}
+        frames = [task for _, tasks in connections.values() for task in tasks]
+        if frames:
+            await asyncio.wait(frames, timeout=self.config.drain_grace_s)
+        for writer, _ in connections.values():
+            writer.close()
+        if connections:
+            await asyncio.wait(connections, timeout=self.config.drain_grace_s)
         self.service.close()
 
     def request_shutdown(self) -> None:
@@ -302,6 +319,8 @@ class OptimizationDaemon:
             self.tracer.count("serve.daemon.connections")
         write_lock = asyncio.Lock()
         tasks: set = set()
+        handler = asyncio.current_task()
+        self._connections[handler] = (writer, tasks)
         try:
             while True:
                 try:
@@ -338,6 +357,7 @@ class OptimizationDaemon:
             # coalesced siblings on other connections may be waiting on
             # them — but their answers will hit a closed pipe, which
             # _send absorbs.
+            self._connections.pop(handler, None)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             try:
@@ -522,7 +542,7 @@ class OptimizationDaemon:
             optimizer=result.optimizer,
             degraded=result.stats.degradation if result.stats.degraded else "",
             cached=outcome.cached,
-            coalesced=coalesced or outcome.coalesced,
+            coalesced=coalesced,
             duration_ms=duration_ms,
         )
 

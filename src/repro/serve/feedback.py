@@ -28,6 +28,7 @@ failures, refit errors and install errors are counted
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import Callable, Dict, Optional
 
@@ -174,8 +175,14 @@ class FeedbackController:
                 return False
             self._retraining = True
         if self.background:
+            # Run in a copy of the caller's context, as asyncio.to_thread
+            # does, so the refit counts into the caller's ambient tracer
+            # (a bare Thread starts from an empty context).
             thread = threading.Thread(
-                target=self._retrain, name="repro-feedback-retrain", daemon=True
+                target=contextvars.copy_context().run,
+                args=(self._retrain,),
+                name="repro-feedback-retrain",
+                daemon=True,
             )
             self._threads.append(thread)
             thread.start()

@@ -1,31 +1,32 @@
-"""Template-keyed parametric plan cache with learned candidate selection.
+"""Template-keyed parametric plan cache with re-costed candidate choice.
 
 The exact fingerprint cache (:mod:`repro.serve.cache`) reuses a decision
 only when log-bucketed cardinalities collide — a parametric workload
 whose cardinalities are *drawn from a distribution* misses almost every
 time. Kepler (Doshi et al., VLDB 2023) shows the right shape: key the
-cache by plan **template** (structure with cardinalities stripped),
+cache by plan **template** (structure with cardinalities stripped) and
 remember the small set of plans that were optimal anywhere in the
-observed parameter range, and learn which candidate to pick for unseen
-parameters.
+observed parameter range.
 
 Serving a cached candidate is only safe because candidates are
 **re-costed with the live runtime model at the request's actual
-cardinalities** before anything is returned:
+cardinalities** before anything is returned, and the cheapest re-costed
+candidate is the one served — the runtime model decides, as it does
+inside the enumerator (Robopt §IV). One rule limits where that holds:
 
-* the pick must be within a configurable ``guardrail`` factor of the
-  cheapest re-costed candidate, and
-* when a template has accumulated more than one candidate, a small
-  random-forest selector (:class:`repro.ml.forest.RandomForestRegressor`
-  trained online on the template's own observation log, features =
-  log-cardinalities) must agree *confidently* — per-tree variance below
-  a threshold — on which candidate to serve.
+* a template with a **single** candidate serves it at any cardinality;
+* a template that has produced **two or more** optima depends on
+  cardinality, so it serves only a request within one exact-cache
+  bucket (a factor of 2 on every source, the base
+  :func:`~repro.serve.fingerprint.cardinality_bucket` uses) of some
+  candidate's stored ``cardinalities`` — a point where an optimum was
+  actually observed. Farther out it refuses (``guardrail_rejects``).
 
-Anything else — an untrained selector, high per-tree variance, a
-guardrail breach, a NaN anywhere — returns ``None`` and the caller falls
-back to full enumeration, whose result is folded back into the template's
-candidate set via :meth:`TemplateCache.observe`. The failure mode of this
-cache is therefore *wasted work*, never a wrong plan.
+A refusal, a re-cost failure or a NaN cost returns ``None`` and the
+caller falls back to full enumeration, whose result is folded back into
+the template's candidate set via :meth:`TemplateCache.observe`. The
+failure mode of this cache is therefore *wasted work*, never a wrong
+plan.
 
 Counters (``serve.template.*``) mirror into the ambient tracer like the
 exact cache's, and JSON persistence carries the same versioned
@@ -44,11 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.api import OptimizationResult, RunStats
 from repro.exceptions import ReproError
-from repro.ml.forest import RandomForestRegressor
 from repro.obs import current_tracer
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
@@ -59,7 +57,6 @@ __all__ = [
     "TemplateCache",
     "TemplateCacheStats",
     "TemplateCandidate",
-    "template_features",
     "template_fingerprint",
 ]
 
@@ -68,6 +65,11 @@ TEMPLATE_FINGERPRINT_VERSION = 1
 
 #: Version of the JSON persistence format of :class:`TemplateCache`.
 TEMPLATE_CACHE_FORMAT_VERSION = 1
+
+#: A multi-candidate template serves a request only within this factor,
+#: on every source, of some candidate's stored cardinalities: one bucket
+#: of the exact cache's log2 :func:`~repro.serve.fingerprint.cardinality_bucket`.
+COVERAGE_FACTOR = 2.0
 
 
 def _template_document(
@@ -124,25 +126,6 @@ def template_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def template_features(plan: LogicalPlan) -> np.ndarray:
-    """Selector features: ``log1p`` of each source's cardinality/tuple size.
-
-    Sources are visited in sorted-operator-id order so the vector layout
-    is stable across instantiations of one template. Non-finite or
-    negative profile values map to ``-1.0`` (a value no valid profile
-    produces) instead of poisoning the selector with NaN.
-    """
-    features: List[float] = []
-    for _op_id, profile in sorted(plan.datasets.items()):
-        for value in (profile.cardinality, profile.tuple_size):
-            value = float(value)
-            if math.isfinite(value) and value >= 0.0:
-                features.append(math.log1p(value))
-            else:
-                features.append(-1.0)
-    return np.asarray(features, dtype=np.float64)
-
-
 def _cardinality_vector(plan: LogicalPlan) -> List[float]:
     return [
         float(profile.cardinality)
@@ -150,16 +133,31 @@ def _cardinality_vector(plan: LogicalPlan) -> List[float]:
     ]
 
 
+def _covers(stored: List[float], request: List[float]) -> bool:
+    """Is ``request`` within :data:`COVERAGE_FACTOR` of ``stored`` on
+    every source? An empty, mismatched, non-finite or non-positive
+    vector (nothing to measure a distance in) never covers."""
+    if not stored or len(stored) != len(request):
+        return False
+    for a, b in zip(stored, request):
+        if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
+            return False
+        if max(a, b) > COVERAGE_FACTOR * min(a, b):
+            return False
+    return True
+
+
 @dataclass
 class TemplateCandidate:
     """One plan that was optimal somewhere in a template's parameter range.
 
-    ``assignment`` (operator id → platform name) is the decision itself;
-    ``cardinalities`` records the source-cardinality vector of the most
-    recent instantiation this assignment won at, and ``predicted_runtime``
-    the model cost it won with — both are provenance for inspection, not
-    inputs to serving (serving always re-costs at the live request's
-    cardinalities).
+    ``assignment`` (operator id → platform name) is the decision itself.
+    ``cardinalities`` is the source-cardinality vector (sorted source
+    ids) of the most recent instantiation this assignment won at; it is
+    an input to serving, because a multi-candidate template answers only
+    requests near one of these points (see :class:`TemplateCache`).
+    ``predicted_runtime`` — the model cost it won with — is provenance
+    only: serving always re-costs at the live request's cardinalities.
     """
 
     assignment: Dict[int, str]
@@ -180,17 +178,15 @@ class TemplateCacheStats:
     ``misses`` counts *every* lookup that did not serve from the cache,
     including the refused ones — so ``hit_rate`` is the fraction of
     lookups the template tier actually answered. The refusal reasons are
-    broken out separately (``low_confidence``, ``guardrail_rejects``,
-    ``selector_errors``, ``recost_errors``).
+    broken out separately: ``guardrail_rejects`` (a multi-candidate
+    template asked outside its coverage) and ``recost_errors``.
     """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-    low_confidence: int = 0
     guardrail_rejects: int = 0
-    selector_errors: int = 0
     recost_errors: int = 0
 
     @property
@@ -208,30 +204,10 @@ class TemplateCacheStats:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
-            "low_confidence": self.low_confidence,
             "guardrail_rejects": self.guardrail_rejects,
-            "selector_errors": self.selector_errors,
             "recost_errors": self.recost_errors,
             "hit_rate": self.hit_rate,
         }
-
-
-class _TemplateEntry:
-    """One template's candidate set, observation log and selector."""
-
-    __slots__ = ("candidates", "observations", "selector", "dirty")
-
-    def __init__(self):
-        self.candidates: List[TemplateCandidate] = []
-        self.observations: List[Tuple[np.ndarray, int]] = []
-        self.selector: Optional[RandomForestRegressor] = None
-        self.dirty: bool = True
-
-    def index_of(self, key) -> Optional[int]:
-        for index, candidate in enumerate(self.candidates):
-            if candidate.key == key:
-                return index
-        return None
 
 
 #: ``recost(plan, assignment) -> (model cost, execution plan)`` — supplied
@@ -240,7 +216,7 @@ Recoster = Callable[[LogicalPlan, Dict[int, str]], Tuple[float, object]]
 
 
 class TemplateCache:
-    """Per-template candidate sets with learned, guardrailed selection.
+    """Per-template candidate sets served by re-costed argmin.
 
     Parameters
     ----------
@@ -249,40 +225,22 @@ class TemplateCache:
         recency).
     max_candidates:
         Candidates kept per template; inserting beyond it evicts the
-        oldest candidate and drops its observations.
-    max_observations:
-        Per-template observation log bound (oldest dropped first).
+        oldest candidate.
     guardrail:
-        A pick is served only if its re-costed runtime is within this
-        factor of the cheapest re-costed candidate. ``1.0`` means "serve
-        only the argmin"; the default ``1.2`` tolerates 20% regret.
-    min_observations:
-        Observations a template needs before its selector is trained;
-        multi-candidate templates below this always fall back.
-    max_selector_variance:
-        Per-tree prediction variance above which the selector is deemed
-        unsure and the lookup falls back to enumeration.
-    selector_seed:
-        Seed for the default selector forests.
+        Unused: the served candidate is always the cheapest re-costed
+        one, so there is no regret left to bound. Still accepted and
+        validated (``>= 1.0``) because the benchmark's daemon launcher
+        (``perfbench/launcher.py``) passes it.
     copy_results:
         Return defensive copies from :meth:`get` (the default).
-    selector_factory:
-        Override the selector constructor (chaos tests inject failing or
-        NaN-emitting selectors here); must return an object with
-        ``fit(X, y)`` and a ``trees_`` list whose members ``predict``.
     """
 
     def __init__(
         self,
         max_templates: int = 256,
         max_candidates: int = 8,
-        max_observations: int = 256,
         guardrail: float = 1.2,
-        min_observations: int = 4,
-        max_selector_variance: float = 0.25,
-        selector_seed: int = 0,
         copy_results: bool = True,
-        selector_factory: Optional[Callable[[], object]] = None,
     ):
         if max_templates < 1:
             raise ReproError(
@@ -296,15 +254,9 @@ class TemplateCache:
             raise ReproError(f"guardrail must be >= 1.0, got {guardrail}")
         self.max_templates = max_templates
         self.max_candidates = max_candidates
-        self.max_observations = max_observations
-        self.guardrail = guardrail
-        self.min_observations = min_observations
-        self.max_selector_variance = max_selector_variance
-        self.selector_seed = selector_seed
         self.copy_results = copy_results
-        self.selector_factory = selector_factory
         self.stats = TemplateCacheStats()
-        self._entries: "OrderedDict[str, _TemplateEntry]" = OrderedDict()
+        self._entries: "OrderedDict[str, List[TemplateCandidate]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -319,101 +271,12 @@ class TemplateCache:
 
     def candidates(self, fingerprint: str) -> List[TemplateCandidate]:
         """The candidate set of one template (empty list if absent)."""
-        entry = self._entries.get(fingerprint)
-        return list(entry.candidates) if entry is not None else []
+        return list(self._entries.get(fingerprint, []))
 
     def clear(self) -> None:
         self._entries.clear()
 
     # ------------------------------------------------------------------
-    def _make_selector(self):
-        if self.selector_factory is not None:
-            return self.selector_factory()
-        # Small forest: per-template observation logs are tiny and the
-        # selector is refit on every log append.
-        return RandomForestRegressor(
-            n_estimators=12,
-            max_depth=6,
-            min_samples_split=2,
-            min_samples_leaf=1,
-            seed=self.selector_seed,
-        )
-
-    def _fitted_selector(self, entry: _TemplateEntry):
-        """The template's selector, (re)fitted lazily. May raise."""
-        if not entry.dirty:
-            return entry.selector
-        entry.selector = None
-        entry.dirty = False
-        if len(entry.observations) < self.min_observations:
-            return None
-        X = np.asarray([obs[0] for obs in entry.observations], dtype=np.float64)
-        y = np.asarray([obs[1] for obs in entry.observations], dtype=np.float64)
-        selector = self._make_selector()
-        selector.fit(X, y)
-        entry.selector = selector
-        return selector
-
-    def _select(self, entry: _TemplateEntry, plan: LogicalPlan, tracer):
-        """The selector's pick among >= 2 candidates, or ``None``.
-
-        ``None`` means "not confident": untrained selector, per-tree
-        variance above the threshold, or a selector failure (exception or
-        non-finite output) — the caller falls back to enumeration either
-        way, so a broken selector can never pick a plan.
-        """
-        try:
-            selector = self._fitted_selector(entry)
-        except Exception:
-            entry.dirty = True  # retry the fit after more observations
-            self.stats.selector_errors += 1
-            if tracer.enabled:
-                tracer.count("serve.template.selector_errors")
-            return None
-        if selector is None:
-            self.stats.low_confidence += 1
-            if tracer.enabled:
-                tracer.count("serve.template.low_confidence")
-            return None
-        features = template_features(plan)
-        try:
-            if hasattr(selector, "predict_dist"):
-                # The shared uncertainty convention: ensemble (mean, std)
-                # from one joint traversal. std**2 equals the per-tree
-                # population variance the manual loop below computes, so
-                # the confidence gate is numerically unchanged.
-                dist_mean, dist_std = selector.predict_dist(features[None, :])
-                mean = float(np.asarray(dist_mean).reshape(-1)[0])
-                variance = float(np.asarray(dist_std).reshape(-1)[0]) ** 2
-            else:
-                # Injected selectors only promise ``trees_`` (see
-                # ``selector_factory``): derive the moments tree by tree.
-                per_tree = np.asarray(
-                    [
-                        float(np.asarray(tree.predict(features[None, :])).reshape(-1)[0])
-                        for tree in selector.trees_
-                    ],
-                    dtype=np.float64,
-                )
-                if per_tree.size == 0:
-                    raise ValueError("selector produced no predictions")
-                mean = float(per_tree.mean())
-                variance = float(per_tree.var())
-            if not (np.isfinite(mean) and np.isfinite(variance)):
-                raise ValueError("selector produced non-finite predictions")
-        except Exception:
-            self.stats.selector_errors += 1
-            if tracer.enabled:
-                tracer.count("serve.template.selector_errors")
-            return None
-        if variance > self.max_selector_variance:
-            self.stats.low_confidence += 1
-            if tracer.enabled:
-                tracer.count("serve.template.low_confidence")
-            return None
-        pick = int(round(mean))
-        return min(max(pick, 0), len(entry.candidates) - 1)
-
     def _miss(self, tracer) -> None:
         self.stats.misses += 1
         if tracer.enabled:
@@ -426,25 +289,33 @@ class TemplateCache:
         plan: LogicalPlan,
         recost: Recoster,
     ) -> Optional[OptimizationResult]:
-        """A guardrailed cached answer for ``plan``, or ``None``.
+        """The cheapest re-costed candidate for ``plan``, or ``None``.
 
-        Every stored candidate is re-costed via ``recost`` at the plan's
-        actual cardinalities; the selector's pick (trivial for a single
-        candidate) is served only when it lands within ``guardrail`` of
-        the cheapest candidate. Any refusal — no entry, re-cost failure,
-        unconfident or broken selector, guardrail breach — returns
-        ``None`` and counts as a miss; the caller must then enumerate and
-        :meth:`observe` the fresh result.
+        A multi-candidate template first checks coverage: the request's
+        source cardinalities must lie within :data:`COVERAGE_FACTOR` of
+        some candidate's stored ``cardinalities``. Every candidate is
+        then re-costed via ``recost`` at the plan's actual cardinalities
+        and the argmin is served. Any refusal — no entry, no coverage,
+        re-cost failure — returns ``None`` and counts as a miss; the
+        caller must then enumerate and :meth:`observe` the fresh result.
         """
         tracer = current_tracer()
-        entry = self._entries.get(fingerprint)
-        if entry is None or not entry.candidates:
+        candidates = self._entries.get(fingerprint)
+        if not candidates:
             return self._miss(tracer)
         self._entries.move_to_end(fingerprint)
 
+        if len(candidates) > 1:
+            request = _cardinality_vector(plan)
+            if not any(_covers(c.cardinalities, request) for c in candidates):
+                self.stats.guardrail_rejects += 1
+                if tracer.enabled:
+                    tracer.count("serve.template.guardrail_rejects")
+                return self._miss(tracer)
+
         costs: List[float] = []
         xplans: List[object] = []
-        for candidate in entry.candidates:
+        for candidate in candidates:
             try:
                 cost, xplan = recost(plan, dict(candidate.assignment))
                 cost = float(cost)
@@ -458,19 +329,7 @@ class TemplateCache:
             costs.append(cost)
             xplans.append(xplan)
 
-        best_index = int(np.argmin(costs))
-        if len(entry.candidates) == 1:
-            pick = 0  # one plausible plan: trivially confident
-        else:
-            pick = self._select(entry, plan, tracer)
-            if pick is None:
-                return self._miss(tracer)
-        if costs[pick] > self.guardrail * costs[best_index]:
-            self.stats.guardrail_rejects += 1
-            if tracer.enabled:
-                tracer.count("serve.template.guardrail_rejects")
-            return self._miss(tracer)
-
+        pick = costs.index(min(costs))
         self.stats.hits += 1
         if tracer.enabled:
             tracer.count("serve.template.hits")
@@ -478,7 +337,7 @@ class TemplateCache:
             execution_plan=xplans[pick],
             predicted_runtime=costs[pick],
             stats=RunStats(),
-            optimizer=entry.candidates[pick].optimizer,
+            optimizer=candidates[pick].optimizer,
         )
         return copy_result(result) if self.copy_results else result
 
@@ -492,45 +351,28 @@ class TemplateCache:
         """Fold a fresh enumeration result back into the template's set.
 
         A result whose assignment matches an existing candidate refreshes
-        that candidate's provenance; a new assignment appends a candidate
-        (evicting the oldest beyond ``max_candidates``). Either way the
-        (features → winning index) pair is appended to the observation
-        log and the selector is marked for refit.
+        that candidate's cardinalities and cost in place; a new
+        assignment appends a candidate (evicting the oldest beyond
+        ``max_candidates``).
         """
         tracer = current_tracer()
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            entry = _TemplateEntry()
-            self._entries[fingerprint] = entry
+        candidates = self._entries.setdefault(fingerprint, [])
         self._entries.move_to_end(fingerprint)
 
-        assignment = dict(result.execution_plan.assignment)
         candidate = TemplateCandidate(
-            assignment=assignment,
+            assignment=dict(result.execution_plan.assignment),
             cardinalities=_cardinality_vector(plan),
             predicted_runtime=float(result.predicted_runtime),
             optimizer=result.optimizer,
         )
-        index = entry.index_of(candidate.key)
-        if index is None:
-            entry.candidates.append(candidate)
-            index = len(entry.candidates) - 1
-            if len(entry.candidates) > self.max_candidates:
-                # Evict the oldest candidate; observations pointing at it
-                # are dropped and the survivors' indices shift down.
-                entry.candidates.pop(0)
-                entry.observations = [
-                    (feats, idx - 1)
-                    for feats, idx in entry.observations
-                    if idx > 0
-                ]
-                index -= 1
+        for index, existing in enumerate(candidates):
+            if existing.key == candidate.key:
+                candidates[index] = candidate
+                break
         else:
-            entry.candidates[index] = candidate
-        entry.observations.append((template_features(plan), index))
-        if len(entry.observations) > self.max_observations:
-            del entry.observations[: len(entry.observations) - self.max_observations]
-        entry.dirty = True
+            candidates.append(candidate)
+            if len(candidates) > self.max_candidates:
+                del candidates[0]
 
         self.stats.puts += 1
         if tracer.enabled:
@@ -548,16 +390,13 @@ class TemplateCache:
         """Write the cache as one JSON document (LRU order preserved).
 
         Candidates persist as assignments (operator id → platform name)
-        plus provenance — no serialized plans, since serving always
-        re-instantiates against the *live* request's plan. Fitted
-        selectors are not persisted; they refit lazily from the
-        persisted observation logs.
+        plus their cardinalities and cost — no serialized plans, since
+        serving always re-instantiates against the *live* request's plan.
         """
         doc = {
             "version": TEMPLATE_CACHE_FORMAT_VERSION,
             "fingerprint_version": TEMPLATE_FINGERPRINT_VERSION,
             "max_templates": self.max_templates,
-            "guardrail": self.guardrail,
             "templates": [
                 {
                     "fingerprint": fingerprint,
@@ -571,14 +410,10 @@ class TemplateCache:
                             "predicted_runtime": candidate.predicted_runtime,
                             "optimizer": candidate.optimizer,
                         }
-                        for candidate in entry.candidates
-                    ],
-                    "observations": [
-                        [list(map(float, feats)), int(idx)]
-                        for feats, idx in entry.observations
+                        for candidate in candidates
                     ],
                 }
-                for fingerprint, entry in self._entries.items()
+                for fingerprint, candidates in self._entries.items()
             ],
         }
         path = Path(path)
@@ -594,8 +429,6 @@ class TemplateCache:
         path,
         registry: Optional[PlatformRegistry] = None,
         max_templates: Optional[int] = None,
-        guardrail: Optional[float] = None,
-        copy_results: bool = True,
         **kwargs,
     ) -> "TemplateCache":
         """Rebuild a cache from :meth:`save` output.
@@ -607,17 +440,10 @@ class TemplateCache:
         explicit unsupported format version raises. Individually
         malformed templates are skipped while the rest load. When a
         ``registry`` is given, candidates naming platforms outside it are
-        dropped (they could never be instantiated).
+        dropped (they could never be instantiated). A ``guardrail`` field
+        or per-template ``observations`` in older files are ignored.
         """
         tracer = current_tracer()
-
-        def fresh() -> "TemplateCache":
-            return cls(
-                max_templates=max_templates if max_templates is not None else 256,
-                guardrail=guardrail if guardrail is not None else 1.2,
-                copy_results=copy_results,
-                **kwargs,
-            )
 
         def corrupt(detail: str) -> "TemplateCache":
             if tracer.enabled:
@@ -625,7 +451,10 @@ class TemplateCache:
                 tracer.event(
                     "serve.template.corrupt", path=str(path), detail=detail
                 )
-            return fresh()
+            return cls(
+                max_templates=max_templates if max_templates is not None else 256,
+                **kwargs,
+            )
 
         try:
             doc = json.loads(Path(path).read_text())
@@ -644,14 +473,8 @@ class TemplateCache:
             declared_max = int(doc.get("max_templates", 256))
         except (TypeError, ValueError):
             declared_max = 256
-        try:
-            declared_guardrail = float(doc.get("guardrail", 1.2))
-        except (TypeError, ValueError):
-            declared_guardrail = 1.2
         cache = cls(
             max_templates=max_templates if max_templates is not None else declared_max,
-            guardrail=guardrail if guardrail is not None else declared_guardrail,
-            copy_results=copy_results,
             **kwargs,
         )
         if doc.get("fingerprint_version") != TEMPLATE_FINGERPRINT_VERSION:
@@ -665,7 +488,7 @@ class TemplateCache:
                 fingerprint = item["fingerprint"]
                 if not isinstance(fingerprint, str):
                     raise TypeError("fingerprint is not a string")
-                entry = _TemplateEntry()
+                candidates = []
                 for raw in item.get("candidates", []):
                     assignment = {
                         int(op_id): str(name)
@@ -673,7 +496,7 @@ class TemplateCache:
                     }
                     if known is not None and not set(assignment.values()) <= known:
                         continue
-                    entry.candidates.append(
+                    candidates.append(
                         TemplateCandidate(
                             assignment=assignment,
                             cardinalities=[
@@ -683,18 +506,8 @@ class TemplateCache:
                             optimizer=str(raw.get("optimizer", "")),
                         )
                     )
-                if not entry.candidates:
+                if not candidates:
                     continue
-                n = len(entry.candidates)
-                for feats, idx in item.get("observations", []):
-                    idx = int(idx)
-                    if 0 <= idx < n:
-                        entry.observations.append(
-                            (
-                                np.asarray(feats, dtype=np.float64),
-                                idx,
-                            )
-                        )
             except Exception as exc:
                 if tracer.enabled:
                     tracer.count("serve.template.load_corrupt")
@@ -705,7 +518,7 @@ class TemplateCache:
                     )
                 continue
             # Bypass observe(): loading must not inflate put/eviction stats.
-            cache._entries[fingerprint] = entry
+            cache._entries[fingerprint] = candidates
             while len(cache._entries) > cache.max_templates:
                 cache._entries.popitem(last=False)
         return cache
@@ -713,6 +526,5 @@ class TemplateCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TemplateCache(templates={len(self)}/{self.max_templates}, "
-            f"hits={self.stats.hits}, misses={self.stats.misses}, "
-            f"guardrail={self.guardrail})"
+            f"hits={self.stats.hits}, misses={self.stats.misses})"
         )

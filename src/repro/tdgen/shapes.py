@@ -176,7 +176,11 @@ def _build_replicate(t: Template, cardinality, complexity) -> LogicalPlan:
         head.append(p.add(t.unary(i, complexity)))
     p.chain(*head)
     split_at = head[-1]
-    branch_a = [p.add(t.unary(i, complexity)) for i in range(third, 2 * third)]
+    # One slot feeds the head alone; both branches then fall back to padding.
+    branch_a = [
+        p.add(t.unary(i, complexity))
+        for i in range(third, min(2 * third, len(t.kinds)))
+    ]
     branch_b = [p.add(t.unary(i, complexity)) for i in range(2 * third, len(t.kinds))]
     if not branch_a:
         branch_a = [p.add(_unary("Map", complexity))]

@@ -17,15 +17,18 @@ Three guarantees the serving layer must never break:
   ``test_serve_cache.py``.)
 
 * **The template-cache guardrail.** The template tier deliberately
-  serves plans that may not be the optimum — but *never* beyond the
-  guardrail: every answer it serves must have true (model-predicted)
-  cost within the configured factor of the exhaustive optimizer's
-  optimum at the request's actual cardinalities, and any lookup the
-  tier was not confident about must have been answered by full
-  enumeration (bit-identical to a direct optimize).
+  serves plans that may not be the optimum — but *never* far from it:
+  every answer it serves must have true (model-predicted) cost within
+  1.2x of the exhaustive optimizer's optimum at the request's actual
+  cardinalities, and any lookup the tier refused must have been
+  answered by full enumeration (bit-identical to a direct optimize).
+  A forest-backed suite checks the same for multi-candidate templates,
+  which only a cardinality-dependent model produces.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -266,7 +269,7 @@ class TestTemplateGuardrail:
         model = LinearRuntimeModel(schema.n_features, seed=5)
         exhaustive = ExhaustiveOptimizer(registry, model, schema=schema)
         direct = Robopt(registry, model, schema=schema)
-        cache = TemplateCache(guardrail=self.GUARDRAIL)
+        cache = TemplateCache()
         service = BatchOptimizationService(
             linear_robopt_factory(platforms=N_PLATFORMS, seed=5),
             registry,
@@ -322,17 +325,15 @@ class TestTemplateGuardrail:
         assert served >= len(eval_jobs) // 2
         assert report.template_hit_rate >= 0.5
 
-    def test_low_confidence_falls_back_to_enumeration(self):
-        """A multi-candidate template whose selector is not trained yet
-        must answer via full enumeration — bit-identical to a direct
-        optimize — and count the fallback."""
+    def test_uncovered_request_falls_back_to_enumeration(self):
+        """A multi-candidate template asked more than one bucket away from
+        every candidate's cardinalities must answer via full enumeration
+        — bit-identical to a direct optimize — and count the refusal."""
         registry, templates = self._templates(count=4, seed=77)
         schema = FeatureSchema(registry)
         model = LinearRuntimeModel(schema.n_features, seed=5)
         direct = Robopt(registry, model, schema=schema)
-        # min_observations unreachable: any multi-candidate template is
-        # permanently low-confidence.
-        cache = TemplateCache(guardrail=self.GUARDRAIL, min_observations=10**9)
+        cache = TemplateCache()
         service = BatchOptimizationService(
             linear_robopt_factory(platforms=N_PLATFORMS, seed=5),
             registry,
@@ -355,13 +356,115 @@ class TestTemplateGuardrail:
         report = service.optimize_batch([probe])
         (outcome,) = report.outcomes
         assert not outcome.template_hit  # fell back ...
-        assert cache.stats.low_confidence >= 1  # ... for the right reason
+        assert cache.stats.guardrail_rejects == 1  # ... for the right reason
         fresh = direct.optimize(probe.plan)
         assert outcome.result.predicted_runtime == fresh.predicted_runtime
         assert (
             outcome.result.execution_plan.assignment
             == fresh.execution_plan.assignment
         )
+
+
+class TestTemplateCoverageForest:
+    """Multi-candidate templates under a forest model.
+
+    The linear model above ranks plans the same at every cardinality,
+    so its templates never gain a second candidate. The session forest
+    does: replaying parametric traffic makes most templates
+    multi-candidate, and those serve the re-costed argmin only within
+    one cardinality bucket of an observed optimum. Every such lookup is
+    compared with a direct ``Robopt`` call on the same model.
+    """
+
+    SEEDS = (0, 1)
+
+    def _replay(self, ctx):
+        """Served/direct cost ratios and the refusal count over the
+        multi-candidate lookups of a seeded parametric replay: per seed,
+        16 templates of 6-14 operators, one warm batch of 5 requests per
+        template, then four eval batches of 3, cardinalities log-uniform
+        over 1e3-1e9."""
+        from repro.serve import robopt_factory
+
+        registry, model = ctx["registry"], ctx["model"]
+        direct = Robopt(registry, model, schema=ctx["schema"])
+        lookups = []
+
+        class RecordingCache(TemplateCache):
+            def get(self, fingerprint, plan, recost):
+                n = len(self.candidates(fingerprint))
+                served = super().get(fingerprint, plan, recost)
+                lookups.append((n, served))
+                return served
+
+        ratios, refused = [], 0
+        for seed in self.SEEDS:
+            templates = JobGenerator(registry, seed=seed).templates_for_shapes(
+                SHAPES, max_operators=14, count=16, min_operators=6
+            )
+            rng = np.random.default_rng(1000 + seed)
+            service = BatchOptimizationService(
+                robopt_factory(platforms=registry.names, model=model),
+                registry,
+                workers=0,
+                template_cache=RecordingCache(),
+            )
+
+            def draw(tag, per_template):
+                return [
+                    BatchJob(f"{tag}-{t}-{r}", template(10.0 ** rng.uniform(3.0, 9.0)))
+                    for t, template in enumerate(templates)
+                    for r in range(per_template)
+                ]
+
+            service.optimize_batch(draw("warm", 5))
+            for round_ in range(4):
+                lookups.clear()
+                jobs = draw(f"eval{round_}", 3)
+                report = service.optimize_batch(jobs)
+                assert report.n_failed == 0
+                for (n, served), job, outcome in zip(lookups, jobs, report.outcomes):
+                    if n < 2:
+                        continue
+                    truth = direct.optimize(job.plan)
+                    if served is None:
+                        refused += 1
+                        # A refusal is full enumeration, bit for bit.
+                        assert not outcome.template_hit
+                        assert (
+                            outcome.result.predicted_runtime
+                            == truth.predicted_runtime
+                        )
+                        assert (
+                            outcome.result.execution_plan.assignment
+                            == truth.execution_plan.assignment
+                        )
+                    else:
+                        assert outcome.template_hit
+                        ratios.append(
+                            served.predicted_runtime / truth.predicted_runtime
+                        )
+        return np.asarray(ratios), refused
+
+    def test_multi_candidate_lookups(self, tiny_context, monkeypatch):
+        from repro.serve import template
+
+        ratios, refused = self._replay(tiny_context)
+        # Not vacuous: multi-candidate templates both served and refused.
+        assert ratios.size and refused
+        # The same replay with coverage off serves every lookup: the
+        # bare argmin. Coverage must refuse where the argmin goes wrong.
+        monkeypatch.setattr(template, "COVERAGE_FACTOR", math.inf)
+        bare, bare_refused = self._replay(tiny_context)
+        assert bare_refused == 0
+        summary = (
+            f"coverage: {ratios.size} served, {int((ratios > 1.2).sum())} "
+            f"above 1.2x, worst {ratios.max():.2f}x; bare argmin: "
+            f"{bare.size} served, {int((bare > 1.2).sum())} above 1.2x, "
+            f"worst {bare.max():.2f}x"
+        )
+        assert (ratios > 1.2).mean() < (bare > 1.2).mean(), summary
+        assert ratios.max() <= bare.max(), summary
 
 
 class TestRiskAndFeedbackAreOptIn:

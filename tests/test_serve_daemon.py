@@ -178,6 +178,51 @@ class TestOptimizePath:
                 assert stats.feedback["status"] in ("ok", "warn", "drifted")
                 assert stats.feedback["retrains"] == 0
 
+    def test_background_retrains_count_into_the_stats_frame(self, tmp_path):
+        """A ``--feedback`` refit on a background thread still counts into
+        the daemon's tracer: one ``serve.model_swaps`` and one
+        ``serve.feedback.retrains`` per installed model."""
+        from repro.core.features import FeatureSchema
+        from repro.ml.feedback import FeedbackLoop
+        from repro.serve.feedback import FeedbackController
+
+        class _InstantExecutor:
+            def execute(self, xplan, timeout_s=3600.0):
+                class _Report:
+                    ok = True
+                    status = "success"
+                    runtime_s = 12.0
+                    detail = ""
+
+                return _Report()
+
+        registry = synthetic_registry(N_PLATFORMS)
+        controller = FeedbackController(
+            FeedbackLoop(FeatureSchema(registry), n_estimators=3, max_depth=6),
+            _InstantExecutor(),
+            retrain_after=2,
+            min_observations=2,
+            background=True,
+        )
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            feedback=controller,
+        )
+        plans = [build_pipeline(2), build_pipeline(3), build_pipeline(4),
+                 build_join_plan(), build_pipeline(5), build_pipeline(6)]
+        with run_daemon(service, unix_path=str(tmp_path / "d.sock")) as harness:
+            with ServeClient(harness.address) as client:
+                for i, plan in enumerate(plans):
+                    assert client.optimize(_plan_request(plan, f"p{i}")).ok
+                    controller.join()
+                stats = client.stats()
+        installs = stats.feedback["model_generation"]
+        assert installs >= 2
+        assert stats.counters["serve.model_swaps"] == installs
+        assert stats.counters["serve.feedback.retrains"] == installs
+
 
 class TestCoalescing:
     def test_two_clients_same_fingerprint_one_optimization(self, tmp_path):
@@ -513,6 +558,53 @@ class TestSigtermSubprocess:
                 proc.communicate()
         assert proc.returncode == 0, out
         assert "drained cleanly" in out
+
+
+@pytest.mark.slow
+class TestShutdownSubprocess:
+    def test_shutdown_with_an_idle_client_exits_without_traceback(
+        self, tmp_path
+    ):
+        """A ``shutdown`` frame while another client holds an idle
+        connection: the daemon closes that connection itself, exits 0
+        and prints no asyncio traceback."""
+        import socket
+
+        socket_path = str(tmp_path / "daemon.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", socket_path,
+                "--model", str(tmp_path / "no-model.pkl"),
+                "--workers", "0",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(socket_path):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.1)
+            idle.connect(socket_path)
+            with ServeClient(f"unix:{socket_path}") as client:
+                assert client.stats().counters["serve.daemon.connections"] == 2
+                assert client.shutdown().draining
+            out, err = proc.communicate(timeout=60.0)
+        finally:
+            idle.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "drained cleanly" in out
+        assert "Traceback" not in err, err
 
 
 class TestDaemonUnderChaos:

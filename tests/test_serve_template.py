@@ -1,4 +1,4 @@
-"""The template cache tier: fingerprint properties, candidates, selector.
+"""The template cache tier: fingerprint properties, candidates, coverage.
 
 The template fingerprint is the tier's correctness boundary, with a
 *different* contract than the exact fingerprint: cardinalities must NOT
@@ -7,15 +7,16 @@ one query share a template), while every structural field still must
 (kinds, selectivities, edges, loops, platform alphabet). The cache
 itself mirrors :class:`PlanCache`'s invariants — LRU bound, counter
 mirroring, versioned persistence, corrupt-file tolerance — plus the
-template-specific machinery: candidate-set maintenance, guardrailed
-re-costing, and the learned selector's fallback discipline.
+template-specific machinery: candidate-set maintenance, re-costed
+argmin serving, and the coverage rule that makes a multi-candidate
+template refuse requests far from every observed optimum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,8 @@ from repro.rheem.execution_plan import ExecutionPlan
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.operators import operator
 from repro.rheem.platforms import default_registry, synthetic_registry
-from repro.serve import TemplateCache, template_features, template_fingerprint
-from repro.serve.template import TEMPLATE_CACHE_FORMAT_VERSION
+from repro.serve import TemplateCache, template_fingerprint
+from repro.serve.template import TEMPLATE_CACHE_FORMAT_VERSION, _covers
 from repro.serve.testing import LinearRuntimeModel
 
 from conftest import build_pipeline
@@ -223,23 +224,23 @@ class TestStructuralSensitivity:
         assert template_fingerprint(a, registry) == template_fingerprint(b, registry)
 
 
-class TestFeatures:
-    def test_log_cardinality_features(self):
-        feats = template_features(build_pipeline(3, 1e6))
-        assert feats.shape == (2,)  # one source: (card, tuple_size)
-        assert feats[0] == pytest.approx(np.log1p(1e6))
-        assert feats[1] == pytest.approx(np.log1p(100.0))
+class TestCoverage:
+    """One exact-cache bucket (a factor of 2) on every source covers."""
 
-    def test_non_finite_profile_values_are_sanitized(self):
-        plan = LogicalPlan("bad")
-        src = plan.add(
-            operator("TextFileSource"),
-            dataset=DatasetProfile("d", float("nan"), float("inf")),
-        )
-        sink = plan.add(operator("CollectionSink"))
-        plan.chain(src, sink)
-        feats = template_features(plan)
-        assert np.all(np.isfinite(feats))
+    def test_within_one_bucket_on_every_source_covers(self):
+        assert _covers([1e4], [1e4])
+        assert _covers([1e4], [1.9e4])
+        assert _covers([1e4], [0.6e4])
+        assert not _covers([1e4], [2.1e4])
+        assert not _covers([1e4], [0.4e4])
+        assert _covers([1e4, 1e6], [1.5e4, 0.7e6])
+        assert not _covers([1e4, 1e6], [1.5e4, 3e6])  # one source is enough
+
+    def test_non_finite_cardinality_never_covers(self):
+        for stored in ([], [math.nan], [math.inf], [0.0], [-1.0], [1e4, 1e4]):
+            assert not _covers(stored, [1e4])
+        for request in ([math.nan], [math.inf], [0.0]):
+            assert not _covers([1e4], request)
 
 
 class TestCandidatesAndLRU:
@@ -328,6 +329,8 @@ class TestCandidatesAndLRU:
 
 
 class TestGuardrailAndSelector:
+    """Which candidate is served, and when the tier refuses instead."""
+
     def test_recost_failure_is_a_miss_never_a_raise(self, optimizer, registry):
         cache = TemplateCache()
         plan = build_pipeline(3, 1e4)
@@ -349,73 +352,52 @@ class TestGuardrailAndSelector:
         assert cache.get(tfp, plan, lambda p, a: (float("nan"), None)) is None
         assert cache.stats.recost_errors == 1
 
-    def test_multi_candidate_without_selector_falls_back(self, optimizer, registry):
-        """Two candidates, too few observations to train: low confidence,
-        no hit — the caller must enumerate."""
-        cache = TemplateCache(min_observations=10)
-        plan = build_pipeline(2, 1e4)
+    def _two_candidates(self, cache, plan, optimizer, registry):
+        """Forge a 2-candidate template (all-platform-0 / all-platform-1)
+        whose candidates both won at ``plan``'s cardinalities."""
         tfp = template_fingerprint(plan, registry)
         result = optimizer.optimize(plan)
-        names = list(registry.names)
-        for name in names[:2]:
+        for name in list(registry.names)[:2]:
             forged = result.copy()
             for op_id in forged.execution_plan.assignment:
                 forged.execution_plan.assignment[op_id] = name
             cache.observe(tfp, plan, forged)
         assert len(cache.candidates(tfp)) == 2
-        assert cache.get(tfp, plan, _recoster(optimizer)) is None
-        assert cache.stats.low_confidence == 1
+        return tfp
 
-    def test_guardrail_reject_on_expensive_pick(self, registry):
-        """A confident selector pointing at a candidate outside the
-        guardrail band must be rejected, not served."""
-
-        class ConstantSelector:
-            """Every tree predicts index 1: confident and wrong."""
-
-            def fit(self, X, y):
-                return self
-
-            class _Tree:
-                def predict(self, X):
-                    return np.ones(X.shape[0])
-
-            trees_ = [_Tree(), _Tree(), _Tree()]
-
-        cache = TemplateCache(
-            guardrail=1.0,
-            min_observations=2,
-            selector_factory=ConstantSelector,
-        )
-        plan = build_pipeline(2, 1e4)
-        tfp = template_fingerprint(plan, registry)
-        schema = FeatureSchema(registry)
-        optimizer = Robopt(
-            registry, LinearRuntimeModel(schema.n_features, seed=1), schema=schema
-        )
-        result = optimizer.optimize(plan)
-        names = list(registry.names)
-        for name in names[:2]:
-            forged = result.copy()
-            for op_id in forged.execution_plan.assignment:
-                forged.execution_plan.assignment[op_id] = name
-            cache.observe(tfp, plan, forged)
-        # Candidate costs differ (different platforms); index 1 is not
-        # the argmin under guardrail=1.0 — or index 1 IS the argmin, in
-        # which case flip to a recoster that inverts the order.
-        recost = _recoster(optimizer)
-        costs = [
-            recost(plan, dict(c.assignment))[0] for c in cache.candidates(tfp)
-        ]
-        if costs[1] <= costs[0]:
-            base = recost
-
-            def recost(plan, assignment, _base=base):  # noqa: F811
-                cost, xplan = _base(plan, assignment)
-                return -cost, xplan
-
-        assert cache.get(tfp, plan, recost) is None
+    def test_multi_candidate_outside_coverage_falls_back(self, optimizer, registry):
+        """Two candidates observed at 1e4; a request more than one bucket
+        away refuses — the caller must enumerate."""
+        cache = TemplateCache()
+        tfp = self._two_candidates(cache, build_pipeline(2, 1e4), optimizer, registry)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert cache.get(tfp, build_pipeline(2, 2.5e4), _recoster(optimizer)) is None
         assert cache.stats.guardrail_rejects == 1
+        assert cache.stats.misses == 1
+        assert tracer.counters["serve.template.guardrail_rejects"] == 1
+
+    def test_multi_candidate_serves_the_recosted_argmin(self, optimizer, registry):
+        """Inside coverage the cheapest re-costed candidate is served."""
+        cache = TemplateCache()
+        tfp = self._two_candidates(cache, build_pipeline(2, 1e4), optimizer, registry)
+        request = build_pipeline(2, 1.6e4)
+        recost = _recoster(optimizer)
+        costs = [recost(request, dict(c.assignment))[0] for c in cache.candidates(tfp)]
+        assert costs[0] != costs[1]
+        hit = cache.get(tfp, request, recost)
+        assert hit is not None
+        assert hit.predicted_runtime == min(costs)
+        cheapest = cache.candidates(tfp)[costs.index(min(costs))]
+        assert hit.execution_plan.assignment == cheapest.assignment
+
+        # Inverting the costs flips the pick: the model decides.
+        def inverted(plan, assignment):
+            cost, xplan = recost(plan, assignment)
+            return -cost, xplan
+
+        flipped = cache.get(tfp, request, inverted)
+        assert flipped.execution_plan.assignment != cheapest.assignment
 
 
 class TestPersistence:
@@ -447,16 +429,55 @@ class TestPersistence:
         assert len(loaded) == 2
         assert loaded.fingerprints() == ["tfp4", "tfp5"]
 
-    def test_observations_survive_the_round_trip(self, tmp_path, optimizer, registry):
-        cache = TemplateCache()
-        tfp = template_fingerprint(build_pipeline(3, 1e4), registry)
-        for card in (1e4, 1e5, 1e6, 1e7):
-            plan = build_pipeline(3, card)
-            cache.observe(tfp, plan, optimizer.optimize(plan))
-        path = cache.save(tmp_path / "templates.json")
-        doc = json.loads(path.read_text())
-        (entry,) = doc["templates"]
-        assert len(entry["observations"]) == 4
+    def test_old_file_with_observations_and_guardrail_loads(
+        self, tmp_path, optimizer, registry
+    ):
+        """A file from the learned-selector era (format version 1 with a
+        ``guardrail`` and per-template ``observations``) still loads; a
+        candidate stored without cardinalities never covers a request."""
+        plan = build_pipeline(2, 1e4)
+        tfp = template_fingerprint(plan, registry)
+        result = optimizer.optimize(plan)
+        names = list(registry.names)
+        doc = {
+            "version": TEMPLATE_CACHE_FORMAT_VERSION,
+            "fingerprint_version": 1,
+            "max_templates": 256,
+            "guardrail": 1.2,
+            "templates": [
+                {
+                    "fingerprint": tfp,
+                    "candidates": [
+                        {
+                            "assignment": {
+                                str(op_id): names[0]
+                                for op_id in result.execution_plan.assignment
+                            },
+                            "cardinalities": [1e4],
+                            "predicted_runtime": 1.0,
+                        },
+                        {
+                            "assignment": {
+                                str(op_id): names[1]
+                                for op_id in result.execution_plan.assignment
+                            },
+                            "predicted_runtime": 2.0,
+                        },
+                    ],
+                    "observations": [[[9.2, 4.6], 0], [[9.2, 4.6], 1]],
+                }
+            ],
+        }
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(doc))
+        loaded = TemplateCache.load(path, registry)
+        assert [c.cardinalities for c in loaded.candidates(tfp)] == [[1e4], []]
+        recost = _recoster(optimizer)
+        assert loaded.get(tfp, build_pipeline(2, 1.5e4), recost) is not None
+        assert loaded.get(tfp, build_pipeline(2, 1e7), recost) is None
+        saved = json.loads(loaded.save(tmp_path / "again.json").read_text())
+        assert "guardrail" not in saved
+        assert "observations" not in saved["templates"][0]
 
     def test_fingerprint_version_mismatch_drops_templates(
         self, tmp_path, optimizer, registry

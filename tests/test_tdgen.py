@@ -13,7 +13,7 @@ from repro.tdgen.profiles import (
     ConfigurationProfile,
     default_cardinality_grid,
 )
-from repro.tdgen.shapes import SHAPES, Template, build_template
+from repro.tdgen.shapes import _EXTRA_OPERATORS, SHAPES, Template, build_template
 
 from conftest import build_join_plan, build_loop_plan, build_pipeline
 
@@ -31,9 +31,11 @@ def rng():
 class TestShapes:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_every_shape_builds_valid_plans(self, shape, rng):
-        template = build_template(shape, 12, rng=rng)
-        plan = template(1e6, level=2)
-        plan.validate()
+        # Every size from the smallest build_template accepts up to 12.
+        for n_operators in range(_EXTRA_OPERATORS[shape] + 1, 13):
+            template = build_template(shape, n_operators, rng=rng)
+            plan = template(1e6, level=2)
+            plan.validate()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_shape_topology_present(self, shape, rng):
