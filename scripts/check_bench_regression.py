@@ -1,583 +1,150 @@
 #!/usr/bin/env python
-"""Fail CI when batch throughput regresses vs the previous BENCH entry.
+"""Fail CI when a recorded benchmark series crosses its bound.
 
-Reads every ``BENCH_*.json`` at the repository root, extracts the entries
-for the batch-throughput benchmark (``serve.batch_throughput``, as
-recorded by ``benchmarks/test_serve_batch.py`` — override with
-``--name``), and compares the latest ``plans_per_sec`` against the
-previous one. A drop of more than ``--tolerance`` (default 30%) exits
-non-zero.
+Every bound lives in :data:`GATES`, keyed by the tier-2 CI job that
+records the series. Each row names a series of the ``BENCH_*.json``
+trajectory, one of its metrics, and a kind:
 
-With fewer than two entries the check passes (nothing to compare — the
-first recorded run *establishes* the baseline).
+* ``drop`` — the latest value may not fall by more than ``bound`` (a
+  fraction) against the previous entry;
+* ``rise`` — the latest value may not rise by more than ``bound``;
+* ``max`` — the latest value may not exceed ``bound``;
+* ``min`` — the latest value may not fall below ``bound``;
+* ``above`` — the strict form of ``min``: the latest value must exceed
+  ``bound``.
 
-``--max-overhead`` adds a second gate: the latest entry of
-``--overhead-name`` (default ``serve.batch_throughput_resilient``, as
-recorded by the resilient-stack benchmark) carries an ``overhead``
-metric — the same-run fractional throughput cost of the resilience
-armor versus the plain stack under zero faults. An overhead above the
-bound (ISSUE 5: 5%) exits non-zero.
+A series not recorded yet is skipped. A relative row with one entry
+establishes its baseline and passes. A relative row skips a previous
+value at or below zero, or under its noise ``floor`` (timer jitter, not
+a measurement). A row with ``min_cpus`` skips an entry measured on fewer
+CPUs (a pool cannot win on one core).
 
-``--latency-tolerance`` adds a tail-latency gate (ISSUE 6): the latest
-``--latency-metric`` (default ``latency_p95_s``) may not *rise* by more
-than the given fraction vs the previous entry — a serving layer is
-judged on its tail, not just its mean throughput.
-
-``--min-pool-speedup`` gates the latest entry's ``pool_speedup`` (the
-warm-pool-vs-naive-serial ratio recorded by the throughput benchmark):
-on a multi-core runner (the entry's ``cpus`` metric >= 2) a pool that
-fails to beat serial is the ISSUE 6 regression, and CI fails. On a
-single-core runner the gate is skipped — there is nothing for a pool to
-win there.
-
-``--daemon-p95-tolerance`` gates the daemon benchmark's tail (ISSUE 7):
-the latest ``daemon_p95_ms`` of ``--daemon-name`` (default
-``serve.daemon_throughput``, recorded by
-``benchmarks/test_serve_daemon.py``) may not rise by more than the given
-fraction vs the previous entry. The metric is in *milliseconds* — the
-gate skips sub-millisecond previous values as timer noise.
-
-``--min-drift-heal`` gates the feedback loop (ISSUE 10): the latest
-``heal_ratio`` of ``--drift-name`` (default ``ml.drift_heal``, recorded
-by ``benchmarks/test_feedback.py``) must stay at or above the bound
-(ISSUE 10: 2.0) — a drift-triggered retrain that no longer repairs
-held-out q-error means the closed loop has stopped closing.
-
-``--min-template-hit-rate`` gates the template-cache tier (ISSUE 9):
-the latest ``template_hit_rate`` of ``--template-name`` (default
-``serve.template_cache``, recorded by
-``benchmarks/test_serve_template.py``) must stay at or above the bound
-(ISSUE 9: 0.5) — a template tier that stops serving the parametric
-workload it exists for is a regression even if raw throughput holds.
-
-``--enum-latency-tolerance`` gates the core enumeration kernels
-(ISSUE 8): the latest ``robopt_80ops_s`` of ``--enum-name`` (default
-the Fig. 9(a) benchmark nodeid) may not rise by more than the given
-fraction vs the previous entry. ``--max-enum-latency`` additionally
-bounds the latest value absolutely (seconds), so a slow creep across
-many runs cannot hide inside the per-run tolerance.
+Every row of the named groups is evaluated and reported; the exit code
+is 1 if any of them failed.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_bench_regression.py
-    PYTHONPATH=src python scripts/check_bench_regression.py \
-        --name serve.optimize_batch --metric plans_per_sec --tolerance 0.3
-    PYTHONPATH=src python scripts/check_bench_regression.py \
-        --max-overhead 0.05 --latency-tolerance 0.5
-    PYTHONPATH=src python scripts/check_bench_regression.py \
-        --min-pool-speedup 1.0
+    PYTHONPATH=src python scripts/check_bench_regression.py serving
+    PYTHONPATH=src python scripts/check_bench_regression.py pool daemon --root .
 """
 
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
+from typing import NamedTuple, Optional
+
+from repro.bench.trajectory import series
+
+FIG09A = "benchmarks/test_fig09_efficiency.py::test_fig09a_latency_vs_operators"
+
+
+class Gate(NamedTuple):
+    series: str
+    metric: str
+    kind: str
+    bound: float
+    floor: Optional[float] = None
+    min_cpus: Optional[int] = None
+
+
+GATES = {
+    "serving": [
+        Gate("serve.batch_throughput_resilient", "overhead", "max", 0.05),
+        Gate("serve.batch_throughput", "latency_p95_s", "rise", 0.5, floor=1e-3),
+        Gate("serve.batch_throughput", "plans_per_sec", "drop", 0.30),
+    ],
+    "pool": [
+        Gate("serve.batch_throughput", "pool_speedup", "above", 1.0, min_cpus=2),
+    ],
+    "daemon": [
+        Gate("serve.daemon_throughput", "daemon_p95_ms", "rise", 0.5, floor=1.0),
+    ],
+    "template": [
+        Gate("serve.template_cache", "template_hit_rate", "min", 0.5),
+    ],
+    "enumeration": [
+        Gate(FIG09A, "robopt_80ops_s", "max", 0.025),
+        Gate(FIG09A, "robopt_80ops_s", "rise", 0.25, floor=1e-3),
+    ],
+    "feedback": [
+        Gate("ml.drift_heal", "heal_ratio", "min", 2.0),
+    ],
+}
+
+#: Absolute kinds: ``passes(latest, bound)``.
+ABSOLUTE = {"max": operator.le, "min": operator.ge, "above": operator.gt}
+#: Relative kinds: the sign of the change that counts against the bound.
+RELATIVE = {"drop": -1, "rise": 1}
+
+
+def _show(metric: str, value: float) -> str:
+    if metric.endswith("_s"):
+        return f"{value * 1000:.2f}ms"
+    if metric.endswith("_ms"):
+        return f"{value:.2f}ms"
+    return f"{value:.5g}"
+
+
+def check(gate: Gate, root=None) -> bool:
+    """Evaluate one row of :data:`GATES`, print its verdict, return pass."""
+    entries = series(gate.series, metric=gate.metric, root=root)
+    label = f"bench-regression: {gate.series}.{gate.metric}"
+    if not entries:
+        print(f"{label}: not recorded yet [SKIP]")
+        return True
+    metrics = entries[-1]["metrics"]
+    latest = metrics[gate.metric]
+    cpus = metrics.get("cpus") or 0
+    if gate.min_cpus and cpus < gate.min_cpus:
+        print(f"{label}: latest entry ran on {cpus:g} CPU(s) [SKIP]")
+        return True
+    if gate.kind in ABSOLUTE:
+        if latest is None:
+            print(f"{label}: latest value missing [SKIP]")
+            return True
+        ok = ABSOLUTE[gate.kind](latest, gate.bound)
+        shown = (
+            f"{_show(gate.metric, latest)} "
+            f"({gate.kind} {_show(gate.metric, gate.bound)})"
+        )
+    else:
+        if len(entries) < 2:
+            print(f"{label}: {len(entries)} entry, baseline established [OK]")
+            return True
+        previous = entries[-2]["metrics"][gate.metric]
+        if (
+            previous is None
+            or latest is None
+            or previous <= 0
+            or previous < (gate.floor or 0)
+        ):
+            print(f"{label}: {previous!r} -> {latest!r} not comparable [SKIP]")
+            return True
+        change = (latest - previous) / previous
+        ok = RELATIVE[gate.kind] * change <= gate.bound
+        shown = (
+            f"{_show(gate.metric, previous)} -> {_show(gate.metric, latest)} "
+            f"({change:+.1%}, {gate.kind} <= {gate.bound:.0%})"
+        )
+    print(f"{label} {shown} [{'OK' if ok else 'FAIL'}]")
+    return ok
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--name", default="serve.batch_throughput")
-    parser.add_argument("--metric", default="plans_per_sec")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="maximum allowed fractional drop vs the previous entry",
+        "groups", nargs="+", choices=sorted(GATES), metavar="GROUP",
+        help=f"gate groups to evaluate: {', '.join(GATES)}",
     )
     parser.add_argument("--root", default=None, help="repo root to scan")
-    parser.add_argument(
-        "--overhead-name",
-        default="serve.batch_throughput_resilient",
-        help="series whose latest 'overhead' metric the overhead gate reads",
-    )
-    parser.add_argument(
-        "--max-overhead",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest no-fault resilience overhead "
-            "exceeds this fraction (e.g. 0.05)"
-        ),
-    )
-    parser.add_argument(
-        "--latency-metric",
-        default="latency_p95_s",
-        help="tail-latency metric the latency gate compares",
-    )
-    parser.add_argument(
-        "--latency-tolerance",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest tail latency rose by more than "
-            "this fraction vs the previous entry (e.g. 0.5)"
-        ),
-    )
-    parser.add_argument(
-        "--min-pool-speedup",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest entry's pool_speedup is <= this "
-            "bound while its cpus metric is >= 2 (skipped on single-core "
-            "entries)"
-        ),
-    )
-    parser.add_argument(
-        "--daemon-name",
-        default="serve.daemon_throughput",
-        help="series whose daemon_p95_ms the daemon tail gate compares",
-    )
-    parser.add_argument(
-        "--daemon-p95-tolerance",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest daemon_p95_ms rose by more than "
-            "this fraction vs the previous entry (e.g. 0.5)"
-        ),
-    )
-    parser.add_argument(
-        "--template-name",
-        default="serve.template_cache",
-        help="series whose template_hit_rate the template gate reads",
-    )
-    parser.add_argument(
-        "--min-template-hit-rate",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest template-cache hit rate falls "
-            "below this fraction (e.g. 0.5)"
-        ),
-    )
-    parser.add_argument(
-        "--drift-name",
-        default="ml.drift_heal",
-        help="series whose heal_ratio the feedback-loop gate reads",
-    )
-    parser.add_argument(
-        "--min-drift-heal",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest drift-heal ratio falls below "
-            "this bound (e.g. 2.0)"
-        ),
-    )
-    parser.add_argument(
-        "--enum-name",
-        default=(
-            "benchmarks/test_fig09_efficiency.py"
-            "::test_fig09a_latency_vs_operators"
-        ),
-        help="series whose robopt_80ops_s the enumeration gate compares",
-    )
-    parser.add_argument(
-        "--enum-latency-tolerance",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest robopt_80ops_s rose by more than "
-            "this fraction vs the previous entry (e.g. 0.25)"
-        ),
-    )
-    parser.add_argument(
-        "--max-enum-latency",
-        type=float,
-        default=None,
-        help=(
-            "also fail when the latest robopt_80ops_s exceeds this many "
-            "seconds outright (absolute ceiling, e.g. 0.012)"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    from repro.bench.trajectory import series
-
-    if args.max_overhead is not None:
-        rc = check_overhead(args.overhead_name, args.max_overhead, args.root)
-        if rc != 0:
-            return rc
-
-    if args.min_pool_speedup is not None:
-        rc = check_pool_speedup(args.name, args.min_pool_speedup, args.root)
-        if rc != 0:
-            return rc
-
-    if args.latency_tolerance is not None:
-        rc = check_latency(
-            args.name, args.latency_metric, args.latency_tolerance, args.root
-        )
-        if rc != 0:
-            return rc
-
-    if args.daemon_p95_tolerance is not None:
-        rc = check_daemon_p95(
-            args.daemon_name, args.daemon_p95_tolerance, args.root
-        )
-        if rc != 0:
-            return rc
-
-    if args.min_drift_heal is not None:
-        rc = check_drift_heal(args.drift_name, args.min_drift_heal, args.root)
-        if rc != 0:
-            return rc
-
-    if args.min_template_hit_rate is not None:
-        rc = check_template_hit_rate(
-            args.template_name, args.min_template_hit_rate, args.root
-        )
-        if rc != 0:
-            return rc
-
-    if args.enum_latency_tolerance is not None or args.max_enum_latency is not None:
-        rc = check_enum_latency(
-            args.enum_name,
-            args.enum_latency_tolerance,
-            args.max_enum_latency,
-            args.root,
-        )
-        if rc != 0:
-            return rc
-
-    entries = series(args.name, metric=args.metric, root=args.root)
-    if len(entries) < 2:
-        print(
-            f"bench-regression: only {len(entries)} entry/ies for "
-            f"{args.name!r} — baseline established, nothing to compare"
-        )
-        return 0
-    previous = entries[-2]["metrics"][args.metric]
-    latest = entries[-1]["metrics"][args.metric]
-    if previous is None or latest is None or previous <= 0:
-        print("bench-regression: non-comparable values, skipping")
-        return 0
-    drop = (previous - latest) / previous
-    verdict = "OK" if drop <= args.tolerance else "REGRESSION"
-    print(
-        f"bench-regression: {args.name}.{args.metric} "
-        f"{previous:.2f} -> {latest:.2f} ({-drop:+.1%}) [{verdict}]"
-    )
-    if drop > args.tolerance:
-        print(
-            f"bench-regression: throughput dropped {drop:.1%} "
-            f"(> {args.tolerance:.0%} tolerance)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_overhead(name: str, max_overhead: float, root=None) -> int:
-    """Gate the no-fault resilience overhead recorded by the benchmark.
-
-    The overhead is computed *within* one benchmark run (armored vs
-    plain stack over the same batch), so a single entry suffices — no
-    cross-run comparison, no cross-run noise.
-    """
-    from repro.bench.trajectory import series
-
-    entries = series(name, metric="overhead", root=root)
-    if not entries:
-        print(
-            f"bench-regression: no entries for {name!r} — "
-            "overhead gate skipped (benchmark not yet recorded)"
-        )
-        return 0
-    overhead = entries[-1]["metrics"].get("overhead")
-    if overhead is None:
-        print(f"bench-regression: latest {name!r} entry has no overhead metric")
-        return 0
-    verdict = "OK" if overhead <= max_overhead else "TOO SLOW"
-    print(
-        f"bench-regression: {name}.overhead {overhead:+.2%} "
-        f"(bound {max_overhead:.0%}) [{verdict}]"
-    )
-    if overhead > max_overhead:
-        print(
-            f"bench-regression: resilience armor costs {overhead:.1%} "
-            f"throughput under zero faults (> {max_overhead:.0%} bound)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_latency(name: str, metric: str, tolerance: float, root=None) -> int:
-    """Gate tail-latency rises between the last two recorded entries.
-
-    Mirrors the throughput gate with the sign flipped: latency that
-    *rose* by more than ``tolerance`` fails. Sub-millisecond previous
-    values are skipped — a ratio against noise-floor numbers gates
-    nothing but timer jitter.
-    """
-    from repro.bench.trajectory import series
-
-    entries = series(name, metric=metric, root=root)
-    if len(entries) < 2:
-        print(
-            f"bench-regression: only {len(entries)} entry/ies carry "
-            f"{metric!r} — latency baseline established, nothing to compare"
-        )
-        return 0
-    previous = entries[-2]["metrics"][metric]
-    latest = entries[-1]["metrics"][metric]
-    if previous is None or latest is None or previous < 1e-3:
-        print(
-            f"bench-regression: {metric} non-comparable "
-            f"({previous!r} -> {latest!r}), latency gate skipped"
-        )
-        return 0
-    rise = (latest - previous) / previous
-    verdict = "OK" if rise <= tolerance else "REGRESSION"
-    print(
-        f"bench-regression: {name}.{metric} "
-        f"{previous * 1000:.1f}ms -> {latest * 1000:.1f}ms "
-        f"({rise:+.1%}) [{verdict}]"
-    )
-    if rise > tolerance:
-        print(
-            f"bench-regression: tail latency rose {rise:.1%} "
-            f"(> {tolerance:.0%} tolerance)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_daemon_p95(name: str, tolerance: float, root=None) -> int:
-    """Gate the daemon's served-request p95 between the last two entries.
-
-    Same shape as :func:`check_latency`, but the daemon benchmark
-    records its tails in **milliseconds** (``daemon_p95_ms``, straight
-    from the daemon's live ``stats`` frame), so the display does not
-    rescale and the noise floor sits at 1 ms.
-    """
-    from repro.bench.trajectory import series
-
-    metric = "daemon_p95_ms"
-    entries = series(name, metric=metric, root=root)
-    if len(entries) < 2:
-        print(
-            f"bench-regression: only {len(entries)} entry/ies carry "
-            f"{metric!r} — daemon tail baseline established, nothing to compare"
-        )
-        return 0
-    previous = entries[-2]["metrics"][metric]
-    latest = entries[-1]["metrics"][metric]
-    if previous is None or latest is None or previous < 1.0:
-        print(
-            f"bench-regression: {metric} non-comparable "
-            f"({previous!r} -> {latest!r}), daemon tail gate skipped"
-        )
-        return 0
-    rise = (latest - previous) / previous
-    verdict = "OK" if rise <= tolerance else "REGRESSION"
-    print(
-        f"bench-regression: {name}.{metric} "
-        f"{previous:.1f}ms -> {latest:.1f}ms ({rise:+.1%}) [{verdict}]"
-    )
-    if rise > tolerance:
-        print(
-            f"bench-regression: daemon p95 rose {rise:.1%} "
-            f"(> {tolerance:.0%} tolerance)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_enum_latency(
-    name: str, tolerance=None, ceiling=None, root=None
-) -> int:
-    """Gate the 80-operator enumeration latency (the merge/prune hot path).
-
-    Two independent bounds over the Fig. 9(a) ``robopt_80ops_s`` series:
-
-    * ``tolerance`` — the latest value may not *rise* by more than this
-      fraction vs the previous entry (same shape as :func:`check_latency`);
-    * ``ceiling`` — the latest value may not exceed this many seconds
-      outright, which catches slow creep that per-run tolerances forgive.
-    """
-    from repro.bench.trajectory import series
-
-    metric = "robopt_80ops_s"
-    entries = series(name, metric=metric, root=root)
-    if not entries:
-        print(
-            f"bench-regression: no entries for {name!r} carry {metric!r} "
-            "— enumeration gate skipped (benchmark not yet recorded)"
-        )
-        return 0
-    latest = entries[-1]["metrics"][metric]
-    if ceiling is not None and latest is not None:
-        verdict = "OK" if latest <= ceiling else "TOO SLOW"
-        print(
-            f"bench-regression: {name}.{metric} {latest * 1000:.2f}ms "
-            f"(ceiling {ceiling * 1000:.2f}ms) [{verdict}]"
-        )
-        if latest > ceiling:
-            print(
-                f"bench-regression: 80-op enumeration took "
-                f"{latest * 1000:.2f}ms (> {ceiling * 1000:.2f}ms ceiling)",
-                file=sys.stderr,
-            )
-            return 1
-    if tolerance is None:
-        return 0
-    if len(entries) < 2:
-        print(
-            f"bench-regression: only {len(entries)} entry/ies carry "
-            f"{metric!r} — enumeration baseline established, nothing to compare"
-        )
-        return 0
-    previous = entries[-2]["metrics"][metric]
-    if previous is None or latest is None or previous < 1e-3:
-        print(
-            f"bench-regression: {metric} non-comparable "
-            f"({previous!r} -> {latest!r}), enumeration gate skipped"
-        )
-        return 0
-    rise = (latest - previous) / previous
-    verdict = "OK" if rise <= tolerance else "REGRESSION"
-    print(
-        f"bench-regression: {name}.{metric} "
-        f"{previous * 1000:.2f}ms -> {latest * 1000:.2f}ms "
-        f"({rise:+.1%}) [{verdict}]"
-    )
-    if rise > tolerance:
-        print(
-            f"bench-regression: enumeration latency rose {rise:.1%} "
-            f"(> {tolerance:.0%} tolerance)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_template_hit_rate(name: str, bound: float, root=None) -> int:
-    """Gate the template tier still serving its parametric workload.
-
-    The hit rate is computed *within* one benchmark run (the eval phase
-    of ``benchmarks/test_serve_template.py``, whose cardinalities are
-    drawn so the exact-fingerprint tier alone scores ~0), so a single
-    entry suffices — no cross-run comparison. A rate below ``bound``
-    means structurally repeated queries are falling through to full
-    enumeration, which defeats the tier's purpose regardless of how
-    fast that enumeration happens to be.
-    """
-    from repro.bench.trajectory import series
-
-    entries = series(name, metric="template_hit_rate", root=root)
-    if not entries:
-        print(
-            f"bench-regression: no entries for {name!r} carry "
-            "template_hit_rate — template gate skipped "
-            "(benchmark not yet recorded)"
-        )
-        return 0
-    rate = entries[-1]["metrics"].get("template_hit_rate")
-    if rate is None:
-        print(
-            f"bench-regression: latest {name!r} entry has no "
-            "template_hit_rate metric"
-        )
-        return 0
-    verdict = "OK" if rate >= bound else "REGRESSION"
-    print(
-        f"bench-regression: {name}.template_hit_rate {rate:.0%} "
-        f"(bound >= {bound:.0%}) [{verdict}]"
-    )
-    if rate < bound:
-        print(
-            f"bench-regression: template tier served only {rate:.0%} of "
-            f"its parametric eval workload (< {bound:.0%} bound)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_drift_heal(name: str, bound: float, root=None) -> int:
-    """Gate the feedback loop still repairing an injected workload shift.
-
-    The heal ratio (stale vs retrained held-out median q-error) is
-    computed *within* one benchmark run of the drift-heal drill, so a
-    single entry suffices — no cross-run comparison. A ratio below
-    ``bound`` means drift-triggered retraining no longer recovers
-    prediction quality, which defeats the loop's purpose even if it
-    still technically fires.
-    """
-    from repro.bench.trajectory import series
-
-    entries = series(name, metric="heal_ratio", root=root)
-    if not entries:
-        print(
-            f"bench-regression: no entries for {name!r} carry heal_ratio "
-            "— drift-heal gate skipped (benchmark not yet recorded)"
-        )
-        return 0
-    ratio = entries[-1]["metrics"].get("heal_ratio")
-    if ratio is None:
-        print(f"bench-regression: latest {name!r} entry has no heal_ratio")
-        return 0
-    verdict = "OK" if ratio >= bound else "REGRESSION"
-    print(
-        f"bench-regression: {name}.heal_ratio {ratio:.2f}x "
-        f"(bound >= {bound:.1f}x) [{verdict}]"
-    )
-    if ratio < bound:
-        print(
-            f"bench-regression: the drift-triggered retrain healed "
-            f"held-out q-error only {ratio:.2f}x (< {bound:.1f}x bound)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def check_pool_speedup(name: str, bound: float, root=None) -> int:
-    """Gate the warm pool actually beating naive serial on real cores.
-
-    Reads the latest entry carrying ``pool_speedup``. The gate only
-    applies when that run had >= 2 CPUs (its ``cpus`` metric): a pool
-    cannot win on one core, and auto-sizing runs serially there anyway.
-    """
-    from repro.bench.trajectory import series
-
-    entries = series(name, metric="pool_speedup", root=root)
-    if not entries:
-        print(
-            f"bench-regression: no entries for {name!r} carry pool_speedup "
-            "— pool gate skipped (benchmark not yet recorded)"
-        )
-        return 0
-    metrics = entries[-1]["metrics"]
-    speedup = metrics.get("pool_speedup")
-    cpus = metrics.get("cpus") or 0
-    if speedup is None:
-        print(f"bench-regression: latest {name!r} entry has no pool_speedup")
-        return 0
-    if cpus < 2:
-        print(
-            f"bench-regression: latest {name!r} entry ran on {cpus} CPU(s) "
-            "— pool gate skipped (a pool cannot win on one core)"
-        )
-        return 0
-    verdict = "OK" if speedup > bound else "REGRESSION"
-    print(
-        f"bench-regression: {name}.pool_speedup {speedup:.2f}x on "
-        f"{cpus:.0f} CPUs (bound > {bound:.2f}x) [{verdict}]"
-    )
-    if speedup <= bound:
-        print(
-            f"bench-regression: the worker pool is not beating serial "
-            f"({speedup:.2f}x <= {bound:.2f}x) on a multi-core runner",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    # A list, not a generator: every row reports even after one fails.
+    passed = [
+        check(gate, args.root) for group in args.groups for gate in GATES[group]
+    ]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

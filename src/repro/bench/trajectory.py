@@ -21,20 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-__all__ = ["trajectory_path", "record", "load", "series", "under_pytest"]
-
-
-def under_pytest() -> bool:
-    """True when this process is running inside a pytest test.
-
-    The CLI uses this to suppress trajectory recording for test-driven
-    invocations (unless explicitly re-enabled with ``--bench-record``):
-    tests exercising ``main()`` in-process would otherwise append rows
-    with pytest-tmp job files to the persistent bench series, drowning
-    real datapoints. Benchmarks that *want* to record (the throughput
-    suite) call :func:`record` directly and are unaffected.
-    """
-    return "PYTEST_CURRENT_TEST" in os.environ
+__all__ = ["trajectory_path", "record", "load", "series"]
 
 
 def _repo_root() -> Path:

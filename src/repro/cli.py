@@ -515,9 +515,7 @@ def cmd_optimize_batch(args) -> int:
         _print_feedback_stats(service)
         if n_bad_rows:
             print(f"rejected {n_bad_rows} malformed job rows (see result rows)")
-        # Test-driven CLI runs must not pollute the persistent bench
-        # trajectory with pytest-tmp job files; --bench-record re-enables.
-        if args.bench_record or not trajectory.under_pytest():
+        if args.bench_record:
             trajectory.record(
                 "serve.optimize_batch",
                 metrics,
@@ -852,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--bench-record", action="store_true",
-        help="record trajectory metrics even when invoked from a test "
-        "(recording is suppressed under pytest by default)",
+        help="append this batch's metrics as a serve.optimize_batch row "
+        "to the BENCH_<date>.json trajectory (off by default)",
     )
     batch.set_defaults(func=cmd_optimize_batch)
 

@@ -227,6 +227,35 @@ class JobOutcome:
     template_hit: bool = False
 
 
+def _failed(
+    job: BatchJob,
+    error: Union[str, BaseException],
+    tracer=None,
+    counter: Optional[str] = None,
+    duration_s: float = 0.0,
+    **flags: bool,
+) -> JobOutcome:
+    """The failed outcome of ``job`` — the one place failures are built.
+
+    An exception ``error`` is rendered as ``"Type: message"``; ``counter``
+    names the tracer counter the failure increments, if any; ``flags``
+    set the outcome's failure kind (``timed_out``, ``worker_died``,
+    ``quarantined``).
+    """
+    if isinstance(error, BaseException):
+        error = f"{type(error).__name__}: {error}"
+    if counter is not None and tracer.enabled:
+        tracer.count(counter)
+    return JobOutcome(
+        job.job_id,
+        ok=False,
+        error=error,
+        duration_s=duration_s,
+        tags=job.tags,
+        **flags,
+    )
+
+
 @dataclass
 class BatchReport:
     """The aggregate outcome of one batch run."""
@@ -1091,18 +1120,14 @@ class BatchOptimizationService:
         for job in todo:
             fp = fingerprints[job.job_id]
             if self.quarantine.is_quarantined(fp):
-                outcomes[job.job_id] = JobOutcome(
-                    job.job_id,
-                    ok=False,
-                    error=(
-                        f"quarantined: implicated in "
-                        f"{self.quarantine.deaths(fp)} worker deaths"
-                    ),
+                outcomes[job.job_id] = _failed(
+                    job,
+                    f"quarantined: implicated in "
+                    f"{self.quarantine.deaths(fp)} worker deaths",
+                    tracer,
+                    "serve.jobs_quarantined",
                     quarantined=True,
-                    tags=job.tags,
                 )
-                if tracer.enabled:
-                    tracer.count("serve.jobs_quarantined")
             else:
                 pending.append(job)
 
@@ -1203,12 +1228,7 @@ class BatchOptimizationService:
                         tags=follower.tags,
                     )
                 else:
-                    outcomes[follower.job_id] = JobOutcome(
-                        follower.job_id,
-                        ok=False,
-                        error=rep.error,
-                        tags=follower.tags,
-                    )
+                    outcomes[follower.job_id] = _failed(follower, rep.error)
         ordered = [outcomes[job.job_id] for job in jobs]
         return ordered, hits, misses, template_hits, template_misses, mode
 
@@ -1259,15 +1279,13 @@ class BatchOptimizationService:
                     tags=job.tags,
                 )
             except Exception as exc:  # one job's failure is one error row
-                outcomes[job.job_id] = JobOutcome(
-                    job.job_id,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
+                outcomes[job.job_id] = _failed(
+                    job,
+                    exc,
+                    tracer,
+                    "serve.jobs_errored",
                     duration_s=time.perf_counter() - t0,
-                    tags=job.tags,
                 )
-                if tracer.enabled:
-                    tracer.count("serve.jobs_errored")
         return outcomes
 
     # ------------------------------------------------------------------
@@ -1318,14 +1336,8 @@ class BatchOptimizationService:
                             _worker_run, job.job_id, payload, job.deadline_ms
                         )
                     except Exception as exc:  # pool broke during submission
-                        broken = f"{type(exc).__name__}: {exc}"
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=False,
-                            error=broken,
-                            worker_died=True,
-                            tags=job.tags,
-                        )
+                        outcomes[job.job_id] = _failed(job, exc, worker_died=True)
+                        broken = outcomes[job.job_id].error
                         continue
                     future_jobs[future] = job
 
@@ -1345,39 +1357,31 @@ class BatchOptimizationService:
                                 job, doc, done_at - submitted
                             )
                         except BrokenProcessPool as exc:
-                            broken = f"BrokenProcessPool: {exc}"
-                            outcomes[job.job_id] = JobOutcome(
-                                job.job_id,
-                                ok=False,
-                                error=broken,
-                                worker_died=True,
-                                tags=job.tags,
+                            outcomes[job.job_id] = _failed(
+                                job, exc, worker_died=True
                             )
+                            broken = outcomes[job.job_id].error
                         except Exception as exc:
-                            outcomes[job.job_id] = JobOutcome(
-                                job.job_id,
-                                ok=False,
-                                error=f"{type(exc).__name__}: {exc}",
+                            outcomes[job.job_id] = _failed(
+                                job,
+                                exc,
+                                tracer,
+                                "serve.jobs_errored",
                                 duration_s=done_at - submitted,
-                                tags=job.tags,
                             )
-                            if tracer.enabled:
-                                tracer.count("serve.jobs_errored")
                 except FutureTimeout:
                     for future, job in future_jobs.items():
                         if job.job_id in outcomes:
                             continue
                         future.cancel()
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=False,
-                            error=f"timeout after {self.timeout_s}s",
+                        outcomes[job.job_id] = _failed(
+                            job,
+                            f"timeout after {self.timeout_s}s",
+                            tracer,
+                            "serve.jobs_timed_out",
                             duration_s=time.perf_counter() - submitted,
                             timed_out=True,
-                            tags=job.tags,
                         )
-                        if tracer.enabled:
-                            tracer.count("serve.jobs_timed_out")
         finally:
             if broken is not None:
                 # A dead worker poisons the whole executor: discard it so
