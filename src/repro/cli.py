@@ -21,6 +21,7 @@ Sizes accept human suffixes: ``30MB``, ``6GB``, ``1TB``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -193,8 +194,6 @@ def _chaos_profile(args):
     ``REPRO_CHAOS_SEED`` overrides the seed — the CI chaos matrix sets
     it to fan one profile out over several deterministic seeds.
     """
-    import os
-
     spec = getattr(args, "chaos_profile", None)
     if not spec:
         return None
@@ -210,6 +209,69 @@ def _chaos_profile(args):
         except ValueError as exc:
             raise ReproError(f"bad REPRO_CHAOS_SEED {env_seed!r}: {exc}") from exc
     return profile
+
+
+def _check_model_file(args) -> None:
+    """Warn (resilient stack) or fail (bare stack) on an unreadable --model."""
+    if os.path.isfile(args.model):
+        return
+    if not args.no_resilience:
+        # The fallback chain turns a missing model into degraded plan
+        # quality (cost-model answers) instead of a dead batch.
+        print(
+            f"warning: model {args.model} unreadable; serving from the "
+            "fallback chain",
+            file=sys.stderr,
+        )
+    else:
+        # The factory loads the model lazily (inside each pool worker),
+        # so a bad path would otherwise surface as N per-job failures.
+        raise ReproError(f"cannot read model from {args.model}: no such file")
+
+
+def _template_cache(args, registry):
+    """The ``--template-cache`` tier, loaded when its file exists (``None``
+    when the flag is unset)."""
+    if not args.template_cache:
+        return None
+    from repro.serve import TemplateCache
+
+    if os.path.exists(args.template_cache):
+        return TemplateCache.load(
+            args.template_cache,
+            registry,
+            max_templates=args.template_cache_size,
+        )
+    return TemplateCache(max_templates=args.template_cache_size)
+
+
+def _optimizer_factory(args, chaos, deadline_s: Optional[float]):
+    """The pool-picklable optimizer factory: the resilient Robopt stack,
+    or the bare one under ``--no-resilience``."""
+    from repro.serve import resilient_robopt_factory, robopt_factory
+
+    platforms = tuple(n.strip() for n in args.platforms.split(","))
+    if not args.no_resilience:
+        return resilient_robopt_factory(
+            platforms=platforms,
+            model_path=args.model,
+            priority=args.priority,
+            deadline_s=deadline_s,
+            chaos=chaos,
+            variance_threshold=args.variance_threshold,
+            risk_aversion=args.risk_aversion,
+        )
+    if chaos is not None:
+        raise ReproError("--chaos-profile requires the resilient stack")
+    if args.risk_aversion or args.variance_threshold is not None:
+        raise ReproError(
+            "--risk-aversion/--variance-threshold require the resilient stack"
+        )
+    return robopt_factory(
+        platforms=platforms,
+        model_path=args.model,
+        priority=args.priority,
+    )
 
 
 def _optimize_batch_via_server(args) -> int:
@@ -343,17 +405,10 @@ def _print_feedback_stats(service) -> None:
 
 def cmd_optimize_batch(args) -> int:
     import json
-    import os
 
     from repro.bench import trajectory
     from repro.resilience import RetryPolicy
-    from repro.serve import (
-        BatchOptimizationService,
-        PlanCache,
-        TemplateCache,
-        resilient_robopt_factory,
-        robopt_factory,
-    )
+    from repro.serve import BatchOptimizationService, PlanCache
 
     if args.server:
         return _optimize_batch_via_server(args)
@@ -362,20 +417,7 @@ def cmd_optimize_batch(args) -> int:
     registry = _registry(args.platforms)
     jobs, error_rows = _load_jobs(args.jobs, registry)
     chaos = _chaos_profile(args)
-    resilient = not args.no_resilience
-    if not os.path.isfile(args.model):
-        if resilient:
-            # The fallback chain turns a missing model into degraded plan
-            # quality (cost-model answers) instead of a dead batch.
-            print(
-                f"warning: model {args.model} unreadable; serving from the "
-                "fallback chain",
-                file=sys.stderr,
-            )
-        else:
-            # The factory loads the model lazily (inside each pool worker),
-            # so a bad path would otherwise surface as N per-job failures.
-            raise ReproError(f"cannot read model from {args.model}: no such file")
+    _check_model_file(args)
     cache = None
     if args.cache:
         if os.path.exists(args.cache):
@@ -390,41 +432,14 @@ def cmd_optimize_batch(args) -> int:
             cache = PlanCache.load(args.cache, registry, max_entries=args.cache_size)
         else:
             cache = PlanCache(max_entries=args.cache_size)
-    template_cache = None
-    if args.template_cache:
-        if os.path.exists(args.template_cache):
-            template_cache = TemplateCache.load(
-                args.template_cache,
-                registry,
-                max_templates=args.template_cache_size,
-            )
-        else:
-            template_cache = TemplateCache(max_templates=args.template_cache_size)
-    platforms = tuple(n.strip() for n in args.platforms.split(","))
-    if resilient:
-        factory = resilient_robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-            deadline_s=(
-                args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-            ),
-            chaos=chaos,
-            variance_threshold=args.variance_threshold,
-            risk_aversion=args.risk_aversion,
-        )
-    else:
-        if chaos is not None:
-            raise ReproError("--chaos-profile requires the resilient stack")
-        if args.risk_aversion or args.variance_threshold is not None:
-            raise ReproError(
-                "--risk-aversion/--variance-threshold require the resilient stack"
-            )
-        factory = robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-        )
+    template_cache = _template_cache(args, registry)
+    factory = _optimizer_factory(
+        args,
+        chaos,
+        deadline_s=(
+            args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
+        ),
+    )
     retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
     feedback = _feedback_controller(args, registry, background=False)
     service = BatchOptimizationService(
@@ -540,7 +555,6 @@ def cmd_serve(args) -> int:
     """Run the persistent optimization daemon until SIGTERM or a
     ``shutdown`` frame; exits 0 after a clean drain."""
     import asyncio
-    import os
 
     from repro.obs import Tracer
     from repro.resilience import RetryPolicy
@@ -549,25 +563,13 @@ def cmd_serve(args) -> int:
         DaemonConfig,
         OptimizationDaemon,
         PlanCache,
-        TemplateCache,
-        resilient_robopt_factory,
-        robopt_factory,
     )
 
     if not args.socket and not args.host:
         raise ReproError("repro serve needs --socket PATH and/or --host")
     registry = _registry(args.platforms)
     chaos = _chaos_profile(args)
-    resilient = not args.no_resilience
-    if not os.path.isfile(args.model):
-        if resilient:
-            print(
-                f"warning: model {args.model} unreadable; serving from the "
-                "fallback chain",
-                file=sys.stderr,
-            )
-        else:
-            raise ReproError(f"cannot read model from {args.model}: no such file")
+    _check_model_file(args)
     # A long-lived daemon defaults to an in-memory plan cache — repeated
     # fingerprints are its whole reason to exist; --cache additionally
     # persists it across restarts.
@@ -579,38 +581,8 @@ def cmd_serve(args) -> int:
             cache = PlanCache(max_entries=args.cache_size)
     # The template tier is opt-in: it serves re-costed (not bit-exact)
     # answers, so the operator enables it deliberately.
-    template_cache = None
-    if args.template_cache:
-        if os.path.exists(args.template_cache):
-            template_cache = TemplateCache.load(
-                args.template_cache,
-                registry,
-                max_templates=args.template_cache_size,
-            )
-        else:
-            template_cache = TemplateCache(max_templates=args.template_cache_size)
-    platforms = tuple(n.strip() for n in args.platforms.split(","))
-    if resilient:
-        factory = resilient_robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-            chaos=chaos,
-            variance_threshold=args.variance_threshold,
-            risk_aversion=args.risk_aversion,
-        )
-    else:
-        if chaos is not None:
-            raise ReproError("--chaos-profile requires the resilient stack")
-        if args.risk_aversion or args.variance_threshold is not None:
-            raise ReproError(
-                "--risk-aversion/--variance-threshold require the resilient stack"
-            )
-        factory = robopt_factory(
-            platforms=platforms,
-            model_path=args.model,
-            priority=args.priority,
-        )
+    template_cache = _template_cache(args, registry)
+    factory = _optimizer_factory(args, chaos, deadline_s=None)
     retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
     # The daemon retrains off the event loop: observations land inline
     # per batch, the refit itself runs on a background thread.

@@ -24,6 +24,10 @@ and drives them through any :class:`repro.api.Optimizer`:
   optimized once. The service is entered one batch at a time (the
   daemon's dispatcher and the CLI are single-threaded callers);
   coalescing *across* clients is the daemon's job.
+* **Model installs between batches** — a retrained model is installed
+  under the same lock a batch holds, so an install waits for the running
+  batch: one model prices every enumeration of a batch, and the cache
+  only ever holds prices from the model now serving.
 * **Singleton memoization** — the serial path (and each pool worker)
   shares one singleton-enumeration memo, so identical subplans are
   vectorized once (see :func:`repro.core.operations.enumerate_singleton`);
@@ -68,10 +72,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.api import Optimizer, OptimizationResult, RunStats
 from repro.exceptions import ModelError, ReproError
 from repro.obs import current_tracer
 from repro.resilience.retry import Quarantine, RetryPolicy
+from repro.rheem.execution_plan import ExecutionPlan
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
 from repro.serve.cache import PlanCache, copy_result
@@ -630,6 +637,23 @@ def _enable_singleton_memo(optimizer: Optimizer, memo: dict) -> bool:
     return False
 
 
+def _model_owner(optimizer: Optimizer) -> Any:
+    """The optimizer that owns the runtime ``model`` and feature ``schema``.
+
+    Chaos and test wrappers expose what they wrap as ``.inner``; the walk
+    follows that chain to the first link carrying both attributes
+    (``None`` when no link does).
+    """
+    probe: Any = optimizer
+    while probe is not None:
+        if getattr(probe, "model", None) is not None and getattr(
+            probe, "schema", None
+        ) is not None:
+            return probe
+        probe = getattr(probe, "inner", None)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The warm worker pool
 # ---------------------------------------------------------------------------
@@ -770,15 +794,18 @@ class BatchOptimizationService:
         An optional :class:`~repro.serve.feedback.FeedbackController`.
         Every fresh (non-cached) successful result of a batch is handed
         to it for execution + observation, and ``maybe_retrain`` runs
-        once per batch; when the controller has no ``install`` callback
-        it is wired to :meth:`install_model` so retrains swap in here.
+        once per batch, after the batch has released the service; when
+        the controller has no ``install`` callback it is wired to
+        :meth:`install_model`, so a retrain installs here between
+        batches.
     model_path:
-        Where :meth:`install_model` persists swapped-in models
-        (atomically, tmp + rename). Pool workers build their optimizer
-        from the factory — which typically loads this path — so saving
-        before the pool restart is what propagates a retrain to them.
-        Without it, swaps still reach the serial optimizer and any
-        rebuilt pool simply reloads whatever the factory loads.
+        Where :meth:`install_model` persists installed models (tmp +
+        rename, so a reader never sees half a file). Pool workers build
+        their optimizer from the factory — which typically loads this
+        path — so saving before the pool restart is what propagates a
+        retrain to them. Without it, installs still reach the serial
+        optimizer and any rebuilt pool simply reloads whatever the
+        factory loads.
     """
 
     def __init__(
@@ -810,9 +837,9 @@ class BatchOptimizationService:
         self.timeout_s = timeout_s
         self.cache = cache
         self.template_cache = template_cache
-        #: Lazily resolved re-cost closure for the template tier
-        #: (``None`` = not yet probed, ``False`` = probe failed).
-        self._recoster: Any = None
+        #: Whether the optimizer exposes a model and schema to re-cost
+        #: template candidates with (``None`` = not yet probed).
+        self._can_recost: Optional[bool] = None
         self.memoize_singletons = memoize_singletons
         self.retry = retry
         self.quarantine = Quarantine(threshold=quarantine_after)
@@ -820,9 +847,9 @@ class BatchOptimizationService:
         self._pool = _WarmWorkerPool(optimizer_factory, memoize_singletons, max(workers, 1))
         self.feedback = feedback
         self.model_path = model_path
-        #: Bumped on every :meth:`install_model`; lets stats frames and
-        #: bench records tell which model era produced a number.
-        self.model_generation = 0
+        #: Held by a batch (lookup, dispatch, publish) and by an install,
+        #: so a model is only ever installed between batches.
+        self._lock = threading.Lock()
         if feedback is not None and feedback.install is None:
             feedback.install = self.install_model
         self.registry = registry if registry is not None else self._serial_optimizer().registry
@@ -883,7 +910,9 @@ class BatchOptimizationService:
         jobs = self.as_jobs(jobs)
         tracer = current_tracer()
         started = time.perf_counter()
-        with tracer.span("serve.batch", n_jobs=len(jobs), workers=self.workers):
+        with self._lock, tracer.span(
+            "serve.batch", n_jobs=len(jobs), workers=self.workers
+        ):
             outcomes, hits, misses, t_hits, t_misses, mode = self._run(
                 jobs, tracer
             )
@@ -914,7 +943,8 @@ class BatchOptimizationService:
         nothing new and would let one popular fingerprint flood the
         observation log with identical rows. Degraded plans are filtered
         by the loop itself (``FeedbackLoop.observe`` rejects them). The
-        retrain check runs once per batch, after all observations.
+        retrain check runs once per batch, after all observations and
+        outside the batch lock, so an inline retrain installs at once.
         """
         for outcome in report.outcomes:
             if outcome.ok and not outcome.cached and outcome.result is not None:
@@ -922,116 +952,85 @@ class BatchOptimizationService:
         self.feedback.maybe_retrain()
 
     def install_model(self, model) -> None:
-        """Atomically swap a freshly trained runtime model into service.
+        """Install a freshly trained runtime model between batches.
 
-        Three consumers price plans and all three are handled:
+        The install takes the lock a batch holds: if a batch is running
+        it waits for that batch to finish, and on an idle service it
+        applies at once. Three consumers price plans and all three are
+        handled:
 
-        * the **serial optimizer** — the swap lands on the resilience
-          wrapper's ``swap_primary`` (one attribute assignment; the
-          enumerator's cost closure holds the wrapper, so it reprices
-          immediately) or on a bare ``Robopt.set_model``; if neither is
-          reachable the optimizer is dropped and lazily rebuilt;
+        * the **serial optimizer** — the model lands on the resilience
+          wrapper's ``swap_primary`` (the enumerator's cost closure holds
+          the wrapper, so it reprices on the next batch) or on a bare
+          ``Robopt.set_model``; if neither is reachable the optimizer is
+          dropped and lazily rebuilt;
         * **pool workers** — the model is persisted to ``model_path``
           (tmp + ``os.replace``) and the warm pool discarded, so the
           next pooled batch warms workers that load the new file;
         * **caches** — the exact cache is cleared (its entries carry
-          costs priced by the dead model); the template cache survives,
-          its candidates are re-costed live through the (re-probed)
-          recoster on every hit.
+          costs priced by the old model); the template cache survives,
+          its candidates are re-costed with the serving model on every
+          hit.
         """
-        installed = False
-        probe: Any = self._serial_optimizer()
-        for _ in range(4):  # unwrap chaos/resilience layers
-            inner_model = getattr(probe, "model", None)
-            if inner_model is not None and hasattr(inner_model, "swap_primary"):
-                inner_model.swap_primary(model)
-                installed = True
-                break
-            if inner_model is not None and hasattr(probe, "set_model"):
-                probe.set_model(model)
-                installed = True
-                break
-            probe = getattr(probe, "inner", None)
-            if probe is None:
-                break
-        if not installed:
-            self._optimizer = None  # rebuild from the factory on next use
-        self._recoster = None  # re-probe: the old closure priced with the old model
-        if self.model_path is not None:
-            tmp = Path(str(self.model_path) + ".tmp")
-            model.save(tmp)
-            os.replace(tmp, self.model_path)
-        self._pool.discard()
-        if self.cache is not None:
-            self.cache.clear()
-        self.model_generation += 1
+        with self._lock:
+            owner = _model_owner(self._serial_optimizer())
+            held = getattr(owner, "model", None)
+            rebuilt = False
+            if hasattr(held, "swap_primary"):
+                held.swap_primary(model)
+            elif hasattr(owner, "set_model"):
+                owner.set_model(model)
+            else:
+                self._optimizer = None  # rebuild from the factory on next use
+                rebuilt = True
+            if self.model_path is not None:
+                tmp = Path(str(self.model_path) + ".tmp")
+                model.save(tmp)
+                os.replace(tmp, self.model_path)
+            self._pool.discard()
+            if self.cache is not None:
+                self.cache.clear()
         tracer = current_tracer()
         if tracer.enabled:
             tracer.count("serve.model_swaps")
-            tracer.event(
-                "serve.model_installed",
-                generation=self.model_generation,
-                rebuilt=not installed,
-            )
+            tracer.event("serve.model_installed", rebuilt=rebuilt)
 
     def feedback_stats(self) -> Dict[str, Any]:
         """The feedback controller's stats payload (empty when disabled)."""
-        if self.feedback is None:
-            return {}
-        out = self.feedback.stats()
-        out["model_generation"] = self.model_generation
-        return out
+        return self.feedback.stats() if self.feedback is not None else {}
 
     # ------------------------------------------------------------------
-    def _template_recoster(self):
-        """The re-cost closure of the template tier (``None`` if unavailable).
+    def _template_tier_ready(self) -> bool:
+        """Whether template candidates can be re-costed (probed once).
 
-        Resolved once: the serial optimizer (or a wrapper's ``.inner``
-        chain) must expose a runtime ``model`` and a feature ``schema``;
-        candidates are then re-costed by instantiating their assignment
-        against the live plan and running one model prediction — the
+        The serial optimizer (or a wrapper's ``.inner`` chain) must
+        expose a runtime ``model`` and a feature ``schema``; otherwise
+        the tier is skipped.
+        """
+        if self._can_recost is None:
+            self._can_recost = _model_owner(self._serial_optimizer()) is not None
+            tracer = current_tracer()
+            if not self._can_recost and tracer.enabled:
+                tracer.event(
+                    "serve.template.disabled",
+                    reason="optimizer exposes no model/schema to re-cost with",
+                )
+        return self._can_recost
+
+    def _recost(self, plan: LogicalPlan, assignment) -> Tuple[float, ExecutionPlan]:
+        """Re-cost one template candidate at ``plan``'s cardinalities.
+
+        The candidate's assignment is instantiated against the live plan
+        and priced by one prediction of the model serving now — the
         exact cost the enumerator itself would assign that plan vector.
         """
-        if self._recoster is False:
-            return None
-        if self._recoster is None:
-            probe: Any = self._serial_optimizer()
-            model = schema = None
-            for _ in range(4):  # unwrap chaos/resilience layers
-                model = getattr(probe, "model", None)
-                schema = getattr(probe, "schema", None)
-                if model is not None and schema is not None:
-                    break
-                probe = getattr(probe, "inner", None)
-                if probe is None:
-                    break
-            if model is None or schema is None:
-                self._recoster = False
-                tracer = current_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "serve.template.disabled",
-                        reason="optimizer exposes no model/schema to re-cost with",
-                    )
-                return None
-            import numpy as _np
-
-            from repro.rheem.execution_plan import ExecutionPlan as _ExecutionPlan
-
-            registry = self.registry
-
-            def recost(plan, assignment):
-                xplan = _ExecutionPlan(plan, dict(assignment), registry)
-                features = _np.asarray(
-                    schema.encode_execution_plan(xplan), dtype=_np.float64
-                )
-                cost = float(
-                    _np.asarray(model.predict(features[None, :])).reshape(-1)[0]
-                )
-                return cost, xplan
-
-            self._recoster = recost
-        return self._recoster
+        owner = _model_owner(self._serial_optimizer())
+        xplan = ExecutionPlan(plan, dict(assignment), self.registry)
+        features = np.asarray(
+            owner.schema.encode_execution_plan(xplan), dtype=np.float64
+        )
+        cost = float(np.asarray(owner.model.predict(features[None, :])).reshape(-1)[0])
+        return cost, xplan
 
     # ------------------------------------------------------------------
     def _run(self, jobs: List[BatchJob], tracer):
@@ -1072,29 +1071,27 @@ class BatchOptimizationService:
                 # remembered candidate re-costed at *this* job's
                 # cardinalities — answers without enumeration; a refusal
                 # falls through to the full optimizer.
-                if self.template_cache is not None:
-                    recost = self._template_recoster()
-                    if recost is not None:
-                        tfp = template_fingerprint(plan, self.registry)
-                        template_fps[job.job_id] = tfp
-                        served = self.template_cache.get(tfp, plan, recost)
-                        if served is not None:
-                            template_hits += 1
-                            if self.cache is not None:
-                                # Promote into tier 1 so same-bucket
-                                # repeats skip the re-costing too.
-                                self.cache.put(fp, served)
-                            outcomes[job.job_id] = JobOutcome(
-                                job.job_id,
-                                ok=True,
-                                result=served,
-                                cached=True,
-                                template_hit=True,
-                                duration_s=time.perf_counter() - t0,
-                                tags=job.tags,
-                            )
-                            continue
-                        template_misses += 1
+                if self.template_cache is not None and self._template_tier_ready():
+                    tfp = template_fingerprint(plan, self.registry)
+                    template_fps[job.job_id] = tfp
+                    served = self.template_cache.get(tfp, plan, self._recost)
+                    if served is not None:
+                        template_hits += 1
+                        if self.cache is not None:
+                            # Promote into tier 1 so same-bucket
+                            # repeats skip the re-costing too.
+                            self.cache.put(fp, served)
+                        outcomes[job.job_id] = JobOutcome(
+                            job.job_id,
+                            ok=True,
+                            result=served,
+                            cached=True,
+                            template_hit=True,
+                            duration_s=time.perf_counter() - t0,
+                            tags=job.tags,
+                        )
+                        continue
+                    template_misses += 1
                 # Collapsing same-fingerprint jobs onto one optimization is
                 # the cache's equivalence semantics; without a cache every
                 # job is optimized individually.

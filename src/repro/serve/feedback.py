@@ -16,10 +16,11 @@ hooks (:meth:`repro.serve.batch.BatchOptimizationService.install_model`).
    drift monitor reports ``DRIFTED``, a refit runs *off the critical
    path* (optionally on a background thread) on the base dataset plus
    everything observed;
-3. the refitted model is handed to ``install`` — a single atomic swap on
-   the serving side — the drift window resets, and ``model_generation``
-   increments so stats frames and bench records can tell model eras
-   apart.
+3. the refitted model is handed to ``install``; on the serving side
+   the install waits for the running batch to finish, so no batch is
+   priced by two models. Then the drift window resets and
+   ``model_generation`` — the one install counter — increments, so
+   stats frames and bench records can tell model eras apart.
 
 The controller never raises into the serving hot path: execution
 failures, refit errors and install errors are counted
@@ -66,9 +67,9 @@ class FeedbackController:
         observations — retraining a forest on three points swaps real
         coverage for noise.
     install:
-        Called with each freshly trained model; the callee is
-        responsible for the atomic swap (see
-        ``BatchOptimizationService.install_model``).
+        Called with each freshly trained model; the callee installs it
+        (``BatchOptimizationService.install_model`` waits for the
+        running batch, then swaps).
     background:
         When true, refits run on a daemon thread so the serving path
         never blocks on a fit; tests leave this off for determinism.
@@ -171,6 +172,8 @@ class FeedbackController:
         this once per published batch, not per plan).
         """
         with self._lock:
+            # A daemon retrains for its whole life: keep only live threads.
+            self._threads = [t for t in self._threads if t.is_alive()]
             if not self.retrain_due():
                 return False
             self._retraining = True

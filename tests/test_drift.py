@@ -8,10 +8,12 @@ Three layers under test:
   delta transform from forest disagreement to seconds, with the mean
   bit-identical to ``predict_matrix``;
 * :class:`repro.serve.feedback.FeedbackController` — execute → observe
-  → retrain → install, with both the count and the drift trigger.
+  → retrain → install, with both the count and the drift trigger, and a
+  background retrain installing into a pooled daemon under load.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -273,6 +275,21 @@ class TestFeedbackController:
         assert ctrl.loop.n_retrains == 1
         assert ctrl.model_generation == 1
 
+    def test_finished_retrain_threads_are_dropped(self, tiny_context):
+        """A daemon retrains for its whole life: the controller keeps at
+        most one retrain thread, not one per retrain ever run."""
+        ctrl = self._controller(
+            tiny_context, retrain_after=2, min_observations=2, background=True
+        )
+        for _ in range(3):
+            ctrl.observe(self._result(tiny_context))
+            ctrl.observe(self._result(tiny_context))
+            assert ctrl.maybe_retrain()
+            # Wait on the thread itself: ctrl.join() would prune the list.
+            ctrl._threads[-1].join(timeout=30.0)
+        assert ctrl.model_generation == 3
+        assert len(ctrl._threads) <= 1
+
     def test_stats_payload_is_json_safe(self, tiny_context):
         ctrl = self._controller(tiny_context)
         stats = ctrl.stats()
@@ -385,3 +402,76 @@ class TestDriftHealDrill:
             f"retrain healed q-error only {heal_ratio:.2f}x "
             f"({q_before:.2f} -> {q_after:.2f})"
         )
+
+
+class TestDaemonRetrainDrill:
+    """A background retrain installs into a pooled daemon while clients
+    keep sending requests: the install waits for the running batch, so
+    no request fails, no worker is counted dead, and the drain is clean."""
+
+    def test_requests_keep_flowing_through_an_install(self, tiny_context, tmp_path):
+        from repro.rheem.serialization import plan_to_dict
+        from repro.serve import (
+            BatchOptimizationService,
+            PlanCache,
+            ServeClient,
+            resilient_robopt_factory,
+        )
+        from repro.serve.protocol import OptimizeRequest
+        from repro.serve.testing import DaemonHarness
+
+        model_path = tmp_path / "model.pkl"
+        tiny_context["model"].save(model_path)
+        ctrl = FeedbackController(
+            FeedbackLoop(
+                tiny_context["schema"],
+                base_dataset=tiny_context["dataset"],
+                n_estimators=4,
+                max_depth=8,
+            ),
+            _ScriptedExecutor((12.0,)),
+            drift=DriftMonitor(min_samples=2),
+            retrain_after=2,
+            min_observations=2,
+            background=True,
+        )
+        service = BatchOptimizationService(
+            resilient_robopt_factory(model_path=str(model_path)),
+            tiny_context["registry"],
+            workers=2,
+            cache=PlanCache(),
+            feedback=ctrl,
+            model_path=model_path,
+        )
+        harness = DaemonHarness(service, unix_path=str(tmp_path / "d.sock")).start()
+        replies = []
+        try:
+            with ServeClient(harness.address) as client:
+                deadline = time.monotonic() + 120.0
+                extra = 4  # requests still sent after the first install
+                i = 0
+                while extra > 0:
+                    assert time.monotonic() < deadline, "no retrain installed"
+                    # A new cardinality bucket each time: every request
+                    # enumerates on the pool and feeds the retrain loop.
+                    plan = build_pipeline(2 + i % 4, 1e3 * 4.0 ** (i // 4))
+                    request = OptimizeRequest(request_id=f"r{i}", plan=plan_to_dict(plan))
+                    replies.append(client.optimize(request))
+                    if ctrl.model_generation >= 1:
+                        extra -= 1
+                    i += 1
+                ctrl.join()  # no install in flight while the stats are read
+                stats = client.stats()
+        finally:
+            exit_code = harness.stop()
+        assert all(reply.ok for reply in replies), [
+            reply for reply in replies if not reply.ok
+        ]
+        generation = stats.feedback["model_generation"]
+        assert generation >= 1
+        assert stats.counters["serve.model_swaps"] == generation
+        assert "serve.worker_deaths" not in stats.counters
+        assert "serve.jobs_timed_out" not in stats.counters
+        assert exit_code == 0
+        # Pooled batches ran after an install discarded the warm pool.
+        assert service._pool.spawns >= 2

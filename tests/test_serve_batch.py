@@ -15,6 +15,9 @@ sub-resolution wall times.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.exceptions import ReproError
@@ -529,20 +532,24 @@ class _ScriptedExecutor:
         return self._Report(self.runtime_s)
 
 
+def _feedback_controller(registry, **kwargs):
+    from repro.core.features import FeatureSchema
+    from repro.ml import DriftMonitor, FeedbackLoop
+    from repro.serve.feedback import FeedbackController
+
+    kwargs.setdefault("retrain_after", 0)  # drift-only by default
+    kwargs.setdefault("min_observations", 2)
+    kwargs.setdefault("drift", DriftMonitor(min_samples=2))
+    loop = FeedbackLoop(FeatureSchema(registry), n_estimators=3, max_depth=6)
+    return FeedbackController(loop, _ScriptedExecutor(), **kwargs)
+
+
 class TestFeedbackWiring:
     """ISSUE 10 tentpole: the service feeds executed outcomes to the
-    feedback controller and swaps retrained models in atomically."""
+    feedback controller and installs retrained models between batches."""
 
     def _controller(self, registry, **kwargs):
-        from repro.core.features import FeatureSchema
-        from repro.ml import DriftMonitor, FeedbackLoop
-        from repro.serve.feedback import FeedbackController
-
-        kwargs.setdefault("retrain_after", 0)  # drift-only by default
-        kwargs.setdefault("min_observations", 2)
-        kwargs.setdefault("drift", DriftMonitor(min_samples=2))
-        loop = FeedbackLoop(FeatureSchema(registry), n_estimators=3, max_depth=6)
-        return FeedbackController(loop, _ScriptedExecutor(), **kwargs)
+        return _feedback_controller(registry, **kwargs)
 
     def test_fresh_results_are_observed_cached_are_not(self, registry):
         # min_observations high enough that no retrain (and hence no
@@ -604,7 +611,14 @@ class TestFeedbackWiring:
             tracer = Tracer()
             with use_tracer(tracer):
                 service.install_model(fresh)
-            assert service.model_generation == 1
+            # Idle service: the install applied at once, in place.
+            assert service._serial_optimizer().model is fresh
+            installed = [
+                span.attrs
+                for span in tracer.spans
+                if span.name == "serve.model_installed"
+            ]
+            assert installed == [{"rebuilt": False}]
             assert len(service.cache) == 0  # old-model costs evicted
             assert model_path.read_bytes() == b"model-bytes"  # pool workers reload
             assert not model_path.with_name("model.pkl.tmp").exists()
@@ -638,14 +652,168 @@ class TestFeedbackWiring:
         try:
             # The controller's install hook was auto-wired to the service.
             assert ctrl.install == service.install_model
+            tracer = Tracer()
+            with use_tracer(tracer):
+                service.optimize_batch(
+                    [_named(build_pipeline(3), "a"), _named(build_pipeline(4), "b")]
+                )
+            ctrl.join()
+            assert ctrl.loop.n_retrains >= 1
+            assert ctrl.model_generation >= 1
+            # The controller's counter is the one install counter.
+            assert tracer.counters["serve.model_swaps"] == ctrl.model_generation
+            stats = service.feedback_stats()
+            assert stats == ctrl.stats()
+            assert stats["retrains"] >= 1
+            assert stats["model_generation"] == ctrl.model_generation
+        finally:
+            service.close()
+
+
+def _linear_model(registry, seed):
+    from repro.core.features import FeatureSchema
+    from repro.serve.testing import LinearRuntimeModel
+
+    return LinearRuntimeModel(FeatureSchema(registry).n_features, seed=seed)
+
+
+class TestInstallRaces:
+    """An install and a batch never interleave: ``install_model`` waits
+    for the running batch. So the cache only holds prices from the model
+    now serving, one model prices each enumeration, and the warm pool is
+    never discarded under in-flight jobs."""
+
+    def test_install_before_the_publish_leaves_no_old_price(self, registry):
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            cache=PlanCache(),
+        )
+        fresh = _linear_model(registry, seed=9)
+        robopt = service._serial_optimizer()
+        enumerate_plan = robopt.optimize
+        installers = []
+
+        def optimize_then_install(plan, *args, **kwargs):
+            # The install arrives after the enumeration and before the
+            # batch publishes its result to the cache.
+            result = enumerate_plan(plan, *args, **kwargs)
+            installer = threading.Thread(target=service.install_model, args=(fresh,))
+            installer.start()
+            installers.append(installer)
+            installer.join(timeout=0.3)
+            return result
+
+        robopt.optimize = optimize_then_install
+        try:
+            report = service.optimize_batch([_named(build_pipeline(3), "a")])
+            assert report.n_ok == 1
+            old_price = report.outcomes[0].result.predicted_runtime
+            installers[0].join(timeout=30)
+            assert not installers[0].is_alive()
+            assert len(service.cache) == 0  # no old-model price survived
+            robopt.optimize = enumerate_plan
+            again = service.optimize_batch([_named(build_pipeline(3), "a")])
+            assert not again.outcomes[0].cached
+            assert again.outcomes[0].result.predicted_runtime != old_price
+        finally:
+            service.close()
+
+    def test_install_during_a_pooled_batch_never_blocks_it(self, registry, tmp_path):
+        state = str(tmp_path / "probe")
+        factory = counting_robopt_factory(
+            platforms=N_PLATFORMS, state_dir=state, sleep_s=0.5
+        )
+        service = BatchOptimizationService(factory, registry, workers=2)
+        reports = []
+        jobs = [BatchJob(f"j{n}", build_pipeline(n)) for n in (2, 3, 4, 5)]
+        batch = threading.Thread(
+            target=lambda: reports.append(service.optimize_batch(jobs)),
+            daemon=True,
+        )
+        try:
+            batch.start()
+            deadline = time.monotonic() + 60.0
+            while count_markers(state, "init") == 0:  # workers up, jobs in flight
+                assert time.monotonic() < deadline, "the pool never started"
+                time.sleep(0.02)
+            service.install_model(_linear_model(registry, seed=9))
+            batch.join(timeout=60.0)
+            assert not batch.is_alive(), "the pooled batch hung after the install"
+            (report,) = reports
+            assert report.mode == "pool"
+            assert report.n_failed == 0
+            assert not any(o.worker_died for o in report.outcomes)
+            # The install ran after the batch: every job was optimized.
+            assert count_markers(state, "opt") == len(jobs)
+        finally:
+            service.close()
+
+    def test_one_model_prices_each_enumeration(self, registry):
+        class _ModelRecorder:
+            """Records ``id(model)`` before and after each optimize call."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.pairs = []
+
+            @property
+            def registry(self):
+                return self.inner.registry
+
+            def optimize(self, plan):
+                before = id(self.inner.model)
+                time.sleep(0.005)  # the window an unlocked install would hit
+                result = self.inner.optimize(plan)
+                self.pairs.append((before, id(self.inner.model)))
+                return result
+
+        recorder = _ModelRecorder(linear_robopt_factory(platforms=N_PLATFORMS)())
+        service = BatchOptimizationService(lambda: recorder, registry, workers=0)
+        # Held for the whole test, so no two models ever share an id.
+        models = [_linear_model(registry, seed) for seed in range(1, 31)]
+
+        def install_all():
+            for model in models:
+                service.install_model(model)
+                time.sleep(0.01)
+
+        installer = threading.Thread(target=install_all, daemon=True)
+        try:
+            installer.start()
+            while installer.is_alive():
+                report = service.optimize_batch(
+                    [build_pipeline(2), build_pipeline(3), build_pipeline(4)]
+                )
+                assert report.n_failed == 0
+            installer.join(timeout=30.0)
+            assert recorder.pairs
+            assert all(before == after for before, after in recorder.pairs)
+            assert len({before for before, _ in recorder.pairs}) > 1
+        finally:
+            service.close()
+
+    def test_idle_install_applies_without_another_batch(self, registry):
+        ctrl = _feedback_controller(registry, retrain_after=2, background=True)
+        service = BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS),
+            registry,
+            workers=0,
+            cache=PlanCache(),
+            feedback=ctrl,
+        )
+        try:
             service.optimize_batch(
                 [_named(build_pipeline(3), "a"), _named(build_pipeline(4), "b")]
             )
-            ctrl.join()
-            assert ctrl.loop.n_retrains >= 1
-            assert service.model_generation >= 1
-            stats = service.feedback_stats()
-            assert stats["retrains"] >= 1
-            assert stats["model_generation"] == service.model_generation
+            # No further batch: only the background install can move it.
+            deadline = time.monotonic() + 30.0
+            while ctrl.model_generation == 0:
+                assert time.monotonic() < deadline, "the idle install never applied"
+                time.sleep(0.01)
+            assert len(service.cache) == 0
+            assert service.feedback_stats()["model_generation"] == 1
         finally:
+            ctrl.join()
             service.close()
