@@ -1,19 +1,22 @@
 """Deterministic fault injection for the optimizer and the batch service.
 
 A :class:`ChaosProfile` declares *rates* for a small failure taxonomy —
-model exceptions, NaN predictions, worker deaths, cache corruption,
-artificial latency — and a :class:`FaultInjector` turns them into
-reproducible decisions: every decision draws from a generator seeded by
-``(profile seed, decision token)``, so the same profile injects the same
-faults regardless of process, worker, or execution order.
+model exceptions, NaN predictions, optimizer errors, worker deaths,
+cache corruption, artificial latency — and a :class:`FaultInjector`
+turns them into reproducible decisions: every decision draws from a
+generator seeded by ``(profile seed, decision token)``, so the same
+profile injects the same faults regardless of process, worker, or
+execution order. ``match`` narrows the optimizer-level faults to plans
+whose name contains it.
 
 Wrappers plug the injector into the existing stack without touching it:
 
 * :class:`ChaoticModel` — wraps a runtime model; ``predict`` raises or
   returns NaNs at the configured rates (keyed by call index);
 * :class:`ChaoticOptimizer` — wraps an optimizer; injects per-plan
-  latency and (keyed by plan name, so pool and serial agree) worker
-  death via ``os._exit``;
+  latency, worker death via ``os._exit`` (both keyed by plan name, so
+  pool and serial agree) and raised errors (keyed by plan name and
+  call index);
 * :func:`corrupt_cache_file` — truncates/garbles a plan-cache JSON, the
   input the corrupt-tolerant :meth:`PlanCache.load` must survive.
 
@@ -48,15 +51,25 @@ class InjectedFault(RuntimeError):
 
 @dataclass(frozen=True)
 class ChaosProfile:
-    """Failure rates (each in [0, 1]) plus a seed for determinism."""
+    """Failure rates (each in [0, 1]) plus a seed for determinism.
+
+    ``match`` targets the optimizer-level faults (``error_rate``,
+    ``worker_death_rate``, latency): they fire only for plans whose name
+    contains it, and the empty default matches every plan. The
+    model-level faults (``model_failure_rate``, ``model_nan_rate``) are
+    injected into ``predict``, which never sees a plan name, so they
+    ignore ``match``; so does ``cache_corrupt_rate``.
+    """
 
     seed: int = 0
     model_failure_rate: float = 0.0
     model_nan_rate: float = 0.0
+    error_rate: float = 0.0
     worker_death_rate: float = 0.0
     cache_corrupt_rate: float = 0.0
     latency_ms: float = 0.0
     latency_rate: float = 1.0
+    match: str = ""
 
     def __post_init__(self):
         for f in fields(self):
@@ -68,13 +81,15 @@ class ChaosProfile:
 
     @property
     def inert(self) -> bool:
-        """True when this profile injects nothing."""
-        return (
-            self.model_failure_rate == 0.0
-            and self.model_nan_rate == 0.0
-            and self.worker_death_rate == 0.0
-            and self.cache_corrupt_rate == 0.0
-            and self.latency_ms == 0.0
+        """True when this profile injects nothing.
+
+        Every ``*_rate`` is a fault kind except ``latency_rate``, which
+        only thins out ``latency_ms``.
+        """
+        return self.latency_ms == 0.0 and all(
+            getattr(self, f.name) == 0.0
+            for f in fields(self)
+            if f.name.endswith("_rate") and f.name != "latency_rate"
         )
 
     @classmethod
@@ -82,9 +97,11 @@ class ChaosProfile:
         """Build a profile from a preset name and/or ``k=v`` overrides.
 
         ``"model-outage"``, ``"model-outage,seed=7"`` and
-        ``"model_failure_rate=1.0,latency_ms=5"`` are all valid.
+        ``"model_failure_rate=1.0,latency_ms=5,match=tpch_q3"`` are all
+        valid; each value is cast to its field's type.
         """
         profile = cls()
+        known = {f.name: f for f in fields(cls)}
         for part in str(spec).split(","):
             part = part.strip()
             if not part:
@@ -107,12 +124,14 @@ class ChaosProfile:
                 continue
             key, _, raw = part.partition("=")
             key = key.strip()
-            if key not in {f.name for f in fields(cls)}:
+            if key not in known:
                 raise ReproError(
-                    f"unknown chaos field {key!r}; known: "
-                    f"{', '.join(f.name for f in fields(cls))}"
+                    f"unknown chaos field {key!r}; known: {', '.join(known)}"
                 )
-            value = int(raw) if key == "seed" else float(raw)
+            try:
+                value = type(known[key].default)(raw.strip())
+            except ValueError as exc:
+                raise ReproError(f"bad chaos value {part!r}: {exc}") from None
             profile = replace(profile, **{key: value})
         return profile
 
@@ -167,6 +186,9 @@ class FaultInjector:
     def model_nans(self, token: str) -> bool:
         return self.decide(f"model_nan:{token}", self.profile.model_nan_rate)
 
+    def optimizer_errs(self, token: str) -> bool:
+        return self.decide(f"error:{token}", self.profile.error_rate)
+
     def worker_dies(self, token: str) -> bool:
         return self.decide(f"worker_death:{token}", self.profile.worker_death_rate)
 
@@ -186,7 +208,8 @@ class ChaoticModel:
 
     Decisions are keyed by a per-instance call counter, so a sub-1.0
     failure rate produces a deterministic pass/fail sequence within one
-    optimizer (each worker builds its own instance).
+    optimizer (each worker builds its own instance). ``predict`` never
+    sees a plan name, so ``profile.match`` does not apply here.
     """
 
     def __init__(self, inner, injector: FaultInjector):
@@ -211,7 +234,9 @@ class ChaoticModel:
 
 
 class ChaoticOptimizer:
-    """An optimizer wrapper injecting latency and worker deaths.
+    """An optimizer wrapper injecting latency, errors and worker deaths.
+
+    Only plans whose name contains ``profile.match`` are touched.
 
     Worker death is keyed by the *plan name*, so the same plan kills its
     worker on every dispatch — the poisoned-job scenario the batch
@@ -219,11 +244,23 @@ class ChaoticOptimizer:
     pool worker; in the main process (serial dispatch) the death is
     simulated as a raised :class:`InjectedFault`, because actually
     exiting would take the whole service down rather than exercise it.
+
+    An injected error is a raised :class:`InjectedFault` in serial mode
+    and in a pool worker alike: the job fails, the pool survives. It is
+    keyed by ``(plan name, index of this call for that plan on this
+    instance)``, so a sub-1.0 ``error_rate`` gives each plan a
+    deterministic fail/pass sequence across retries — the transient
+    fault. In pool mode every worker builds its own instance, so the
+    index counts the calls that one worker made.
+
+    A per-call ``budget`` (a job's deadline) is forwarded to the inner
+    optimizer.
     """
 
     def __init__(self, inner, injector: FaultInjector):
         self.inner = inner
         self.injector = injector
+        self.calls: Dict[str, int] = {}
 
     @property
     def registry(self):
@@ -238,22 +275,31 @@ class ChaoticOptimizer:
         if hasattr(self.inner, "singleton_memo"):
             self.inner.singleton_memo = memo
 
-    def optimize(self, plan):
-        token = plan.name or "unnamed"
-        if self.injector.worker_dies(token):
+    def optimize(self, plan, budget=None):
+        if self.injector.profile.match in (plan.name or ""):
+            self._inject(plan.name or "unnamed")
+        if budget is None:
+            return self.inner.optimize(plan)
+        return self.inner.optimize(plan, budget=budget)
+
+    def _inject(self, name: str) -> None:
+        if self.injector.worker_dies(name):
             import multiprocessing
             import os
 
             if multiprocessing.parent_process() is not None:
                 os._exit(17)
             raise InjectedFault(
-                f"injected worker death for plan {token!r} "
+                f"injected worker death for plan {name!r} "
                 "(serial mode: surfaced as a job failure)"
             )
-        delay = self.injector.latency_s(token)
+        index = self.calls.get(name, 0)
+        self.calls[name] = index + 1
+        if self.injector.optimizer_errs(f"{name}#{index}"):
+            raise InjectedFault(f"injected failure for plan {name!r} (call {index})")
+        delay = self.injector.latency_s(name)
         if delay > 0.0:
             time.sleep(delay)
-        return self.inner.optimize(plan)
 
 
 def corrupt_cache_file(path, injector: FaultInjector, token: str = "cache") -> bool:

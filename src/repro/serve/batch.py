@@ -142,9 +142,10 @@ _BUDGET_CAPABLE: Dict[type, bool] = {}
 def _accepts_budget(optimizer: Optimizer) -> bool:
     """Whether this optimizer's ``optimize`` takes a per-call ``budget``.
 
-    Budgets are an optimization contract, not a universal one — chaos
-    wrappers and third-party optimizers may not accept the keyword, and
-    they must keep working (their jobs simply run unbudgeted).
+    Budgets are an optimization contract, not a universal one — test
+    wrappers such as ``CountingOptimizer`` and third-party optimizers may
+    not accept the keyword, and they must keep working (their jobs simply
+    run unbudgeted). ``Robopt`` and ``ChaoticOptimizer`` accept it.
     """
     kind = type(optimizer)
     verdict = _BUDGET_CAPABLE.get(kind)

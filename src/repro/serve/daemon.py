@@ -86,6 +86,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Fallback per-job latency estimate before the window has data.
 _DEFAULT_LATENCY_S = 0.1
 
+#: How many recent round trips the ``stats`` latency tails and the
+#: ``retry_after_ms`` estimate are computed over.
+LATENCY_WINDOW = 1024
+
 
 @dataclass
 class DaemonConfig:
@@ -96,8 +100,7 @@ class DaemonConfig:
     bound; ``max_batch`` caps one dispatcher micro-batch;
     ``default_deadline_ms`` applies to optimize frames that carry none;
     ``drain_grace_s`` bounds how long a drain may wait for in-flight
-    work; ``coalesce`` gates the cross-client in-flight table;
-    ``latency_window`` sizes the ring the stats tails are computed over.
+    work; ``coalesce`` gates the cross-client in-flight table.
     """
 
     unix_path: Optional[str] = None
@@ -108,7 +111,6 @@ class DaemonConfig:
     default_deadline_ms: Optional[float] = None
     drain_grace_s: float = 30.0
     coalesce: bool = True
-    latency_window: int = 1024
 
     def __post_init__(self):
         if self.unix_path is None and self.host is None:
@@ -150,9 +152,7 @@ class OptimizationDaemon:
         self.tracer = tracer if tracer is not None else Tracer()
         self._queue: "asyncio.Queue[Optional[_Accepted]]" = None  # type: ignore[assignment]
         self._inflight: Dict[Tuple[str, Optional[float]], "asyncio.Future[JobOutcome]"] = {}
-        self._latencies: Deque[float] = collections.deque(
-            maxlen=config.latency_window
-        )
+        self._latencies: Deque[float] = collections.deque(maxlen=LATENCY_WINDOW)
         self._pending = 0
         self._answered = 0
         self._draining = False

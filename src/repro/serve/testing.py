@@ -7,12 +7,20 @@ These doubles are deterministic (seeded) and cheap, and double as the
 reference oracles of the differential suite: a linear model is
 merge-decomposable, so boundary pruning is provably lossless against it
 (Def. 2) and the exhaustive baseline must agree with Robopt exactly.
+
+Here live the linear model and its factory, the marker-file counting
+probe, the slow-construction factory and the in-process daemon harness.
+Faults — raising, worker-killing, slow or transiently failing plans —
+are not doubles: tests build them as
+:class:`~repro.resilience.chaos.ChaosProfile` values (``match`` picks
+the plans) through ``resilient_robopt_factory(chaos=...)``, the same
+injector ``--chaos-profile`` runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -21,16 +29,8 @@ from repro.rheem.logical_plan import LogicalPlan
 
 __all__ = [
     "LinearRuntimeModel",
-    "FlakyOptimizer",
-    "CrashingOptimizer",
-    "SleepyOptimizer",
-    "TransientOptimizer",
     "CountingOptimizer",
     "linear_robopt_factory",
-    "flaky_robopt_factory",
-    "crashing_robopt_factory",
-    "sleepy_robopt_factory",
-    "transient_robopt_factory",
     "slow_init_robopt_factory",
     "counting_robopt_factory",
     "count_markers",
@@ -59,124 +59,6 @@ class LinearRuntimeModel:
         if X.ndim == 1:
             X = X[None, :]
         return X @ self.weights
-
-
-class FlakyOptimizer:
-    """Delegates to an inner optimizer; raises for marked plans.
-
-    Any plan whose name contains ``trigger`` (default ``"poison"``)
-    raises ``RuntimeError`` — the fault-injection hook of the
-    worker-failure tests.
-    """
-
-    def __init__(self, inner: Optimizer, trigger: str = "poison"):
-        self.inner = inner
-        self.trigger = trigger
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def optimize(self, plan: LogicalPlan) -> OptimizationResult:
-        if self.trigger in plan.name:
-            raise RuntimeError(f"injected failure for plan {plan.name!r}")
-        return self.inner.optimize(plan)
-
-
-class CrashingOptimizer:
-    """Delegates to an inner optimizer; kills the *process* for marked plans.
-
-    Plans whose name contains ``trigger`` (default ``"crash"``) terminate
-    the worker with ``os._exit`` — the hook of the broken-pool tests (a
-    dead worker, unlike a raised exception, breaks the whole pool).
-    """
-
-    def __init__(self, inner: Optimizer, trigger: str = "crash"):
-        self.inner = inner
-        self.trigger = trigger
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def optimize(self, plan: LogicalPlan) -> OptimizationResult:
-        if self.trigger in plan.name:
-            import os
-
-            os._exit(13)
-        return self.inner.optimize(plan)
-
-
-class SleepyOptimizer:
-    """Delegates to an inner optimizer; sleeps first for marked plans.
-
-    Plans whose name contains ``trigger`` (default ``"sleep"``) block for
-    ``sleep_s`` seconds before optimizing — the hook of the per-job
-    timeout tests.
-    """
-
-    def __init__(
-        self, inner: Optimizer, sleep_s: float = 5.0, trigger: str = "sleep"
-    ):
-        self.inner = inner
-        self.sleep_s = sleep_s
-        self.trigger = trigger
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def optimize(self, plan: LogicalPlan) -> OptimizationResult:
-        if self.trigger in plan.name:
-            time.sleep(self.sleep_s)
-        return self.inner.optimize(plan)
-
-
-class TransientOptimizer:
-    """Delegates to an inner optimizer; fails each marked plan N times.
-
-    Plans whose name contains ``trigger`` (default ``"transient"``) raise
-    ``RuntimeError`` on their first ``fail_times`` attempts, then succeed
-    — the hook of the retry-with-backoff tests. Attempt counts are kept
-    as marker files under ``state_dir`` so they survive worker restarts
-    and are shared across pool processes.
-    """
-
-    def __init__(
-        self,
-        inner: Optimizer,
-        state_dir: str,
-        fail_times: int = 1,
-        trigger: str = "transient",
-    ):
-        self.inner = inner
-        self.state_dir = state_dir
-        self.fail_times = fail_times
-        self.trigger = trigger
-
-    @property
-    def registry(self):
-        return self.inner.registry
-
-    def optimize(self, plan: LogicalPlan) -> OptimizationResult:
-        if self.trigger in plan.name:
-            import os
-
-            os.makedirs(self.state_dir, exist_ok=True)
-            safe = "".join(c if c.isalnum() else "_" for c in plan.name)
-            attempts = len(
-                [f for f in os.listdir(self.state_dir) if f.startswith(safe + ".")]
-            )
-            if attempts < self.fail_times:
-                with open(
-                    os.path.join(self.state_dir, f"{safe}.{attempts}"), "w"
-                ):
-                    pass
-                raise RuntimeError(
-                    f"transient failure {attempts + 1}/{self.fail_times} "
-                    f"for plan {plan.name!r}"
-                )
-        return self.inner.optimize(plan)
 
 
 def _touch_marker(state_dir: str, prefix: str) -> None:
@@ -257,67 +139,6 @@ def linear_robopt_factory(platforms=("java", "spark", "flink"), seed: int = 0, p
     import functools
 
     return functools.partial(_build_linear_robopt, platforms, seed, priority)
-
-
-def _build_flaky(platforms, seed: int, trigger: str):
-    return FlakyOptimizer(_build_linear_robopt(platforms, seed, "robopt"), trigger)
-
-
-def flaky_robopt_factory(platforms=("java", "spark", "flink"), seed: int = 0, trigger: str = "poison"):
-    """Factory for a fault-injecting linear Robopt (see FlakyOptimizer)."""
-    import functools
-
-    return functools.partial(_build_flaky, platforms, seed, trigger)
-
-
-def _build_crashing(platforms, seed: int, trigger: str):
-    return CrashingOptimizer(_build_linear_robopt(platforms, seed, "robopt"), trigger)
-
-
-def crashing_robopt_factory(platforms=("java", "spark", "flink"), seed: int = 0, trigger: str = "crash"):
-    """Factory for a worker-killing linear Robopt (see CrashingOptimizer)."""
-    import functools
-
-    return functools.partial(_build_crashing, platforms, seed, trigger)
-
-
-def _build_sleepy(platforms, seed: int, sleep_s: float, trigger: str):
-    return SleepyOptimizer(
-        _build_linear_robopt(platforms, seed, "robopt"), sleep_s, trigger
-    )
-
-
-def sleepy_robopt_factory(
-    platforms=("java", "spark", "flink"),
-    seed: int = 0,
-    sleep_s: float = 5.0,
-    trigger: str = "sleep",
-):
-    """Factory for a delay-injecting linear Robopt (see SleepyOptimizer)."""
-    import functools
-
-    return functools.partial(_build_sleepy, platforms, seed, sleep_s, trigger)
-
-
-def _build_transient(platforms, seed: int, state_dir: str, fail_times: int, trigger: str):
-    return TransientOptimizer(
-        _build_linear_robopt(platforms, seed, "robopt"), state_dir, fail_times, trigger
-    )
-
-
-def transient_robopt_factory(
-    platforms=("java", "spark", "flink"),
-    seed: int = 0,
-    state_dir: str = ".",
-    fail_times: int = 1,
-    trigger: str = "transient",
-):
-    """Factory for a transiently-failing linear Robopt (see TransientOptimizer)."""
-    import functools
-
-    return functools.partial(
-        _build_transient, platforms, seed, state_dir, fail_times, trigger
-    )
 
 
 def _build_counting(platforms, seed: int, state_dir: str, sleep_s: float):
@@ -428,8 +249,6 @@ class DaemonHarness:
     def stop(self, timeout: float = 30.0):
         """Request drain (idempotent), join the loop thread, return the
         daemon's exit code (0 = clean drain)."""
-        import contextlib
-
         if self.loop is not None and self._thread is not None and self._thread.is_alive():
             with contextlib.suppress(RuntimeError):
                 self.loop.call_soon_threadsafe(self.daemon.request_shutdown)
@@ -440,16 +259,11 @@ class DaemonHarness:
         return self.exit_code
 
 
+@contextlib.contextmanager
 def run_daemon(service, tracer=None, **config_kwargs):
     """Context manager: a running :class:`DaemonHarness`, drained on exit."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def _ctx():
-        harness = DaemonHarness(service, tracer=tracer, **config_kwargs).start()
-        try:
-            yield harness
-        finally:
-            harness.stop()
-
-    return _ctx()
+    harness = DaemonHarness(service, tracer=tracer, **config_kwargs).start()
+    try:
+        yield harness
+    finally:
+        harness.stop()

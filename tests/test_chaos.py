@@ -35,15 +35,26 @@ from repro.resilience import (
 from repro.resilience.chaos import InjectedFault
 from repro.rheem.platforms import synthetic_registry
 from repro.serve import BatchJob, BatchOptimizationService, resilient_robopt_factory
-from repro.serve.testing import (
-    crashing_robopt_factory,
-    slow_init_robopt_factory,
-    transient_robopt_factory,
-)
+from repro.serve.testing import slow_init_robopt_factory
 
 from conftest import build_join_plan, build_pipeline
 
 N_PLATFORMS = 2
+
+#: Every optimization of a plan named ``*crash*`` kills its pool worker.
+CRASHING = ChaosProfile(worker_death_rate=1.0, match="crash")
+#: Plans named ``*transient*`` fail at random; with this seed the first
+#: call for ``transient-blip`` fails and the second passes.
+TRANSIENT = ChaosProfile(seed=4, error_rate=0.5, match="transient")
+
+
+def _attempts_to_pass(profile, name):
+    """How many calls the injector lets ``name`` fail before one passes
+    (plus that one) — the ``attempts`` a retrying service should record."""
+    injector = FaultInjector(profile)
+    return next(
+        i + 1 for i in range(8) if not injector.optimizer_errs(f"{name}#{i}")
+    )
 
 
 def _named(plan, name):
@@ -93,6 +104,37 @@ class TestChaosProfile:
         assert ChaosProfile().inert
         assert not PROFILES["model-outage"].inert
         assert not PROFILES["slow-model"].inert
+
+    def test_match_parses_as_a_string(self):
+        profile = ChaosProfile.parse("worker-deaths,match=tpch_q3")
+        assert profile == ChaosProfile(worker_death_rate=0.3, match="tpch_q3")
+        assert ChaosProfile.parse("error_rate=1,match=poison") == ChaosProfile(
+            error_rate=1.0, match="poison"
+        )
+
+    def test_bad_value_rejected(self):
+        with pytest.raises(ReproError, match="bad chaos value"):
+            ChaosProfile.parse("latency_ms=slow")
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "model_failure_rate",
+            "model_nan_rate",
+            "error_rate",
+            "worker_death_rate",
+            "cache_corrupt_rate",
+            "latency_ms",
+        ],
+    )
+    def test_any_single_fault_is_not_inert(self, field):
+        assert not ChaosProfile(**{field: 0.5}).inert
+
+    def test_match_and_latency_rate_alone_are_inert(self):
+        profile = ChaosProfile(match="tpch_q3", latency_rate=0.5)
+        assert profile.inert
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=profile)
+        assert not isinstance(factory(), ChaoticOptimizer)
 
 
 class TestFaultInjector:
@@ -186,6 +228,15 @@ class TestChaoticOptimizer:
         with pytest.raises(InjectedFault, match="worker death"):
             chaotic.optimize(build_pipeline(2))
 
+    def test_error_rate_raises_for_matching_plans_only(self):
+        chaotic = resilient_robopt_factory(
+            platforms=N_PLATFORMS, chaos=ChaosProfile(error_rate=1.0, match="poison")
+        )()
+        with pytest.raises(InjectedFault, match="injected failure"):
+            chaotic.optimize(_named(build_pipeline(2), "poison-pill"))
+        assert chaotic.optimize(build_pipeline(2)).execution_plan is not None
+        assert chaotic.calls == {"poison-pill": 1}
+
     def test_no_faults_passes_through(self, registry):
         from repro.core.features import FeatureSchema
         from repro.core.optimizer import Robopt
@@ -274,10 +325,30 @@ class TestServiceUnderChaos:
         assert report.n_failed == report.n_jobs
         assert all("worker death" in o.error for o in report.outcomes)
 
-    def test_transient_failures_recover_via_retry(self, registry, tmp_path):
-        factory = transient_robopt_factory(
-            platforms=N_PLATFORMS, state_dir=str(tmp_path), fail_times=1
+    def test_job_deadline_holds_under_chaos(self):
+        """A job's ``deadline_ms`` reaches Robopt through the chaos wrapper:
+        an expired budget answers degraded, as it does without chaos."""
+        factory = resilient_robopt_factory(
+            platforms=3, chaos=ChaosProfile(latency_ms=1.0)
         )
+        service = BatchOptimizationService(
+            factory, synthetic_registry(3), workers=0
+        )
+        report = service.optimize_batch(
+            [
+                BatchJob("late", build_pipeline(12), deadline_ms=0.0),
+                BatchJob("free", build_pipeline(12)),
+            ]
+        )
+        by_id = {o.job_id: o for o in report.outcomes}
+        assert by_id["late"].ok and by_id["late"].result.stats.degraded
+        assert by_id["free"].ok and not by_id["free"].result.stats.degraded
+        assert report.n_degraded == 1
+
+    def test_transient_failures_recover_via_retry(self, registry):
+        expected = _attempts_to_pass(TRANSIENT, "transient-blip")
+        assert expected == 2  # one failure, then a pass
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=TRANSIENT)
         service = BatchOptimizationService(
             factory,
             registry,
@@ -291,13 +362,12 @@ class TestServiceUnderChaos:
         report = service.optimize_batch(jobs)
         by_id = {o.job_id: o for o in report.outcomes}
         assert by_id["stable"].ok and by_id["stable"].attempts == 1
-        assert by_id["shaky"].ok and by_id["shaky"].attempts == 2
+        assert by_id["shaky"].ok and by_id["shaky"].attempts == expected
         assert report.n_retried == 1
 
-    def test_no_retries_without_policy(self, registry, tmp_path):
-        factory = transient_robopt_factory(
-            platforms=N_PLATFORMS, state_dir=str(tmp_path), fail_times=1
-        )
+    def test_no_retries_without_policy(self, registry):
+        assert _attempts_to_pass(TRANSIENT, "transient-blip") > 1
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=TRANSIENT)
         service = BatchOptimizationService(factory, registry, workers=0)
         report = service.optimize_batch(
             [BatchJob("shaky", _named(build_pipeline(3), "transient-blip"))]
@@ -309,7 +379,7 @@ class TestServiceUnderChaos:
         """A plan that kills its worker on every dispatch crosses the
         quarantine threshold; jobs that merely shared its broken pool get
         isolated retries and complete."""
-        factory = crashing_robopt_factory(platforms=N_PLATFORMS)
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=CRASHING)
         service = BatchOptimizationService(
             factory,
             registry,
@@ -468,7 +538,7 @@ class TestDaemonUnderChaosProfiles:
         from test_serve_daemon import _plan_request, run_daemon
         from repro.serve import ServeClient
 
-        factory = crashing_robopt_factory(platforms=N_PLATFORMS)
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=CRASHING)
         service = BatchOptimizationService(
             factory,
             registry,

@@ -22,26 +22,30 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.obs import Tracer, use_tracer
+from repro.resilience import ChaosProfile
 from repro.rheem.platforms import synthetic_registry
 from repro.serve import (
     BatchJob,
     BatchOptimizationService,
     PlanCache,
     available_cpus,
+    resilient_robopt_factory,
 )
 from repro.serve.batch import _WALL_FLOOR_S, BatchReport, JobOutcome
 from repro.serve.testing import (
     count_markers,
     counting_robopt_factory,
-    crashing_robopt_factory,
-    flaky_robopt_factory,
     linear_robopt_factory,
-    sleepy_robopt_factory,
 )
 
 from conftest import build_join_plan, build_pipeline
 
 N_PLATFORMS = 2
+
+#: Every optimization of a plan named ``*poison*`` raises.
+FLAKY = ChaosProfile(error_rate=1.0, match="poison")
+#: Every optimization of a plan named ``*crash*`` kills its pool worker.
+CRASHING = ChaosProfile(worker_death_rate=1.0, match="crash")
 
 
 def _named(plan, name):
@@ -56,7 +60,7 @@ def registry():
 
 class TestWorkerFailure:
     def test_raising_worker_fails_one_job_not_the_pool(self, registry):
-        factory = flaky_robopt_factory(platforms=N_PLATFORMS)
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=FLAKY)
         service = BatchOptimizationService(factory, registry, workers=2)
         jobs = [
             BatchJob("ok1", build_pipeline(2)),
@@ -75,7 +79,7 @@ class TestWorkerFailure:
             assert by_id[job_id].result is not None
 
     def test_raising_worker_fails_one_job_serially_too(self, registry):
-        factory = flaky_robopt_factory(platforms=N_PLATFORMS)
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=FLAKY)
         service = BatchOptimizationService(factory, registry, workers=0)
         report = service.optimize_batch(
             [
@@ -90,7 +94,7 @@ class TestWorkerFailure:
         """``os._exit`` in a worker breaks the whole pool: the unfinished
         jobs get error outcomes, the call returns, and the *next* batch
         (a fresh pool) works normally."""
-        factory = crashing_robopt_factory(platforms=N_PLATFORMS)
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=CRASHING)
         service = BatchOptimizationService(factory, registry, workers=2)
         report = service.optimize_batch(
             [
@@ -110,7 +114,10 @@ class TestWorkerFailure:
 
 class TestTimeout:
     def test_slow_job_times_out_individually(self, registry):
-        factory = sleepy_robopt_factory(platforms=N_PLATFORMS, sleep_s=6.0)
+        factory = resilient_robopt_factory(
+            platforms=N_PLATFORMS,
+            chaos=ChaosProfile(latency_ms=6000.0, match="sleep"),
+        )
         service = BatchOptimizationService(
             factory, registry, workers=2, timeout_s=2.0
         )

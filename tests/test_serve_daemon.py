@@ -48,7 +48,6 @@ from repro.serve.testing import (
     counting_robopt_factory,
     linear_robopt_factory,
     run_daemon,
-    sleepy_robopt_factory,
 )
 
 from conftest import build_join_plan, build_pipeline
@@ -64,6 +63,17 @@ def _named(plan, name):
 def _plan_request(plan, request_id="", **kwargs):
     return OptimizeRequest(
         request_id=request_id, plan=plan_to_dict(plan), **kwargs
+    )
+
+
+def _sleepy_service(sleep_s):
+    """Serial service whose plans named ``*sleep*`` take ``sleep_s`` longer."""
+    factory = resilient_robopt_factory(
+        platforms=N_PLATFORMS,
+        chaos=ChaosProfile(latency_ms=sleep_s * 1000.0, match="sleep"),
+    )
+    return BatchOptimizationService(
+        factory, synthetic_registry(N_PLATFORMS), workers=0
     )
 
 
@@ -301,10 +311,7 @@ class TestAdmissionControl:
         """Past ``max_pending``, extra requests are refused immediately
         with ``overloaded`` + ``retry_after_ms`` — not queued, not
         dropped, not an exception."""
-        factory = sleepy_robopt_factory(platforms=N_PLATFORMS, sleep_s=1.0)
-        service = BatchOptimizationService(
-            factory, synthetic_registry(N_PLATFORMS), workers=0
-        )
+        service = _sleepy_service(1.0)
         with run_daemon(
             service,
             unix_path=str(tmp_path / "d.sock"),
@@ -333,10 +340,7 @@ class TestAdmissionControl:
         assert stats.counters["serve.daemon.overloaded"] == 3
 
     def test_daemon_recovers_after_the_burst(self, tmp_path):
-        factory = sleepy_robopt_factory(platforms=N_PLATFORMS, sleep_s=0.5)
-        service = BatchOptimizationService(
-            factory, synthetic_registry(N_PLATFORMS), workers=0
-        )
+        service = _sleepy_service(0.5)
         with run_daemon(
             service,
             unix_path=str(tmp_path / "d.sock"),
@@ -407,10 +411,7 @@ class TestHostileInput:
     def test_client_disconnect_mid_request_does_not_hurt_the_daemon(
         self, tmp_path
     ):
-        factory = sleepy_robopt_factory(platforms=N_PLATFORMS, sleep_s=1.0)
-        service = BatchOptimizationService(
-            factory, synthetic_registry(N_PLATFORMS), workers=0
-        )
+        service = _sleepy_service(1.0)
         with run_daemon(service, unix_path=str(tmp_path / "d.sock")) as harness:
             # fire an optimize and hang up without reading the answer
             sock = self._raw_connection(harness.address)
@@ -470,10 +471,7 @@ class TestDeadlines:
 
 class TestDrain:
     def test_shutdown_frame_drains_and_refuses_new_work(self, tmp_path):
-        factory = sleepy_robopt_factory(platforms=N_PLATFORMS, sleep_s=1.0)
-        service = BatchOptimizationService(
-            factory, synthetic_registry(N_PLATFORMS), workers=0
-        )
+        service = _sleepy_service(1.0)
         harness = DaemonHarness(
             service, unix_path=str(tmp_path / "d.sock")
         ).start()
