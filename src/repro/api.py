@@ -120,9 +120,10 @@ class OptimizationResult:
     def copy(self) -> "OptimizationResult":
         """An independent copy safe to hand to a second consumer.
 
-        The logical plan is deep-cloned and the platform assignment
-        rebuilt, so mutating the copy's plan or assignment cannot affect
-        the original (the plan cache relies on this). The
+        The logical plan is cloned (:meth:`LogicalPlan.clone`: new
+        operators and containers, frozen values shared) and the platform
+        assignment rebuilt, so mutating the copy's plan or assignment
+        cannot affect the original (the plan cache relies on this). The
         ``final_enumeration`` — which aliases enumeration matrices — is
         deliberately not carried over.
         """

@@ -73,8 +73,9 @@ class Quarantine:
     immediately instead of handing it another worker to kill.
 
     A broken pool fails every in-flight job, so the service records a
-    death for *all* of them — attribution to the one poisonous plan is
-    impossible from the outside. Innocent bystanders clear their tally
+    death for *all* of their keys (one per key per dispatch round) —
+    attribution to the one poisonous plan is impossible from the
+    outside. Innocent bystanders clear their tally
     via :meth:`record_success` when their retry completes; only the plan
     whose dispatches keep coinciding with pool breakage accumulates
     deaths and crosses the threshold.

@@ -68,7 +68,7 @@ from concurrent.futures import (
     as_completed,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -191,6 +191,12 @@ class BatchJob:
     anytime budget — passed as a per-call
     :class:`~repro.resilience.budget.Budget` to optimizers that accept
     one, so an expiring job answers degraded instead of late.
+    ``fingerprint`` is the plan's precomputed
+    :func:`~repro.serve.fingerprint.plan_fingerprint` under the
+    service's registry; a caller that already has it (the daemon keys
+    coalescing on it) passes it so the service does not hash the plan a
+    second time. It describes ``plan`` as given, so it cannot be combined
+    with ``size_bytes``.
     """
 
     job_id: str
@@ -198,6 +204,14 @@ class BatchJob:
     size_bytes: Optional[float] = None
     tags: Dict[str, Any] = field(default_factory=dict)
     deadline_ms: Optional[float] = None
+    fingerprint: Optional[str] = None
+
+    def __post_init__(self):
+        if self.fingerprint is not None and self.size_bytes is not None:
+            raise ReproError(
+                f"job {self.job_id!r}: a precomputed fingerprint describes "
+                f"the unscaled plan; pass it without size_bytes"
+            )
 
     def prepared_plan(self) -> LogicalPlan:
         """The plan to optimize (cloned + rescaled if sized)."""
@@ -892,12 +906,8 @@ class BatchOptimizationService:
             else:
                 job = BatchJob(job_id=item.name or f"job{index}", plan=item)
             if job.job_id in seen or not job.job_id:
-                job = BatchJob(
-                    f"{job.job_id or 'job'}#{index}",
-                    job.plan,
-                    job.size_bytes,
-                    job.tags,
-                    deadline_ms=job.deadline_ms,
+                job = replace(
+                    job, job_id=f"{job.job_id or 'job'}#{index}"
                 )
             seen[job.job_id] = index
             out.append(job)
@@ -1053,7 +1063,7 @@ class BatchOptimizationService:
                 t0 = time.perf_counter()
                 plan = job.prepared_plan()
                 prepared[job.job_id] = plan
-                fp = plan_fingerprint(plan, self.registry)
+                fp = job.fingerprint or plan_fingerprint(plan, self.registry)
                 fingerprints[job.job_id] = fp
                 if self.cache is not None:
                     cached = self.cache.get(fp)
@@ -1155,17 +1165,24 @@ class BatchOptimizationService:
                 dispatched.update(got)
                 if used_mode == "pool":
                     mode = "pool"
+            # One pool break is one death per fingerprint, however many
+            # of its jobs (different deadlines) were in flight; a death
+            # in the round outweighs a sibling's success.
+            died, succeeded = set(), set()
             for job in pending:
                 outcome = dispatched[job.job_id]
                 outcome.attempts = attempt + 1
                 outcomes[job.job_id] = outcome
-                fp = fingerprints[job.job_id]
                 if outcome.worker_died:
-                    self.quarantine.record_worker_death(fp)
+                    died.add(fingerprints[job.job_id])
                     if tracer.enabled:
                         tracer.count("serve.worker_deaths")
                 elif outcome.ok:
-                    self.quarantine.record_success(fp)
+                    succeeded.add(fingerprints[job.job_id])
+            for fp in died:
+                self.quarantine.record_worker_death(fp)
+            for fp in succeeded - died:
+                self.quarantine.record_success(fp)
             if self.retry is None or attempt >= self.retry.max_retries:
                 break
             retryable: List[BatchJob] = []

@@ -6,6 +6,11 @@ returns a **defensive copy** — the cached execution plan, assignment and
 stats are cloned so one caller mutating its result can never corrupt
 what the next caller receives (the cache equivalent of
 :meth:`PlanVectorEnumeration.select` never aliasing its source rows).
+``put`` stores a copy too, so the caller keeps its own result. The
+copies are structural (:meth:`repro.rheem.logical_plan.LogicalPlan.clone`):
+operators and containers are new, frozen values such as operator kinds
+and dataset profiles are shared, which keeps a hit far cheaper than the
+enumeration it saves.
 
 Hit/miss/eviction counts are kept on the cache *and* mirrored into the
 ambient tracer (``serve.cache.*`` counters), so a traced batch run shows
@@ -42,8 +47,9 @@ def copy_result(result: OptimizationResult) -> OptimizationResult:
     """An independent copy of an optimization result.
 
     Alias of :meth:`repro.api.OptimizationResult.copy`: the logical plan
-    is deep-cloned, the assignment rebuilt, and ``final_enumeration`` —
-    which aliases enumeration matrices — dropped.
+    is cloned structurally (frozen values shared), the assignment
+    rebuilt, and ``final_enumeration`` — which aliases enumeration
+    matrices — dropped.
     """
     return result.copy()
 
@@ -84,17 +90,14 @@ class PlanCache:
     max_entries:
         The LRU bound; inserting beyond it evicts the least recently
         *used* entry (both ``get`` hits and ``put`` refresh recency).
-    copy_results:
-        Return/store defensive copies (the default). Disable only when
-        every caller treats results as immutable — e.g. a read-only
-        benchmark loop that wants hits at zero copy cost.
+
+    ``get`` and ``put`` always copy (see the module docstring).
     """
 
-    def __init__(self, max_entries: int = 256, copy_results: bool = True):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ReproError(f"cache needs max_entries >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.copy_results = copy_results
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, OptimizationResult]" = OrderedDict()
 
@@ -126,12 +129,11 @@ class PlanCache:
         self.stats.hits += 1
         if tracer.enabled:
             tracer.count("serve.cache.hits")
-        return copy_result(hit) if self.copy_results else hit
+        return copy_result(hit)
 
     def put(self, fingerprint: str, result: OptimizationResult) -> None:
         """Insert (or refresh) a result under its fingerprint."""
-        stored = copy_result(result) if self.copy_results else result
-        self._entries[fingerprint] = stored
+        self._entries[fingerprint] = copy_result(result)
         self._entries.move_to_end(fingerprint)
         self.stats.puts += 1
         tracer = current_tracer()
@@ -179,7 +181,6 @@ class PlanCache:
         path,
         registry: PlatformRegistry,
         max_entries: Optional[int] = None,
-        copy_results: bool = True,
     ) -> "PlanCache":
         """Rebuild a cache from :meth:`save` output.
 
@@ -203,10 +204,7 @@ class PlanCache:
             if tracer.enabled:
                 tracer.count("serve.cache.load_corrupt")
                 tracer.event("serve.cache.corrupt", path=str(path), detail=detail)
-            return cls(
-                max_entries=max_entries if max_entries is not None else 256,
-                copy_results=copy_results,
-            )
+            return cls(max_entries=max_entries if max_entries is not None else 256)
 
         try:
             doc = json.loads(Path(path).read_text())
@@ -226,8 +224,7 @@ class PlanCache:
         except (TypeError, ValueError):
             declared_max = 256
         cache = cls(
-            max_entries=max_entries if max_entries is not None else declared_max,
-            copy_results=copy_results,
+            max_entries=max_entries if max_entries is not None else declared_max
         )
         if doc.get("fingerprint_version") != FINGERPRINT_VERSION:
             return cache

@@ -431,7 +431,9 @@ class OptimizationDaemon:
                 code="shutting_down",
             )
         # Resolve + fingerprint on the event loop: cheap (sha256 over the
-        # plan structure) and it gates both coalescing and admission.
+        # plan structure) and it gates both coalescing and admission. The
+        # job carries the fingerprint, so the service's cache lookup
+        # reuses it instead of hashing the plan again.
         plan = request_to_plan(request)
         if request.size_bytes is not None:
             plan = plan.clone()
@@ -441,7 +443,8 @@ class OptimizationDaemon:
             if request.deadline_ms is not None
             else self.config.default_deadline_ms
         )
-        key = (plan_fingerprint(plan, self.service.registry), deadline_ms)
+        fingerprint = plan_fingerprint(plan, self.service.registry)
+        key = (fingerprint, deadline_ms)
 
         # Cross-client coalescing: same fingerprint (and deadline class)
         # already in flight → ride it, free of admission accounting.
@@ -476,12 +479,13 @@ class OptimizationDaemon:
                 retry_after_ms=self._retry_after_ms(),
             )
 
-    # Admitted: account it, register the in-flight future, enqueue.
+        # Admitted: account it, register the in-flight future, enqueue.
         job = BatchJob(
             request.request_id or plan.name or "job",
             plan,
             tags=request.tags,
             deadline_ms=deadline_ms,
+            fingerprint=fingerprint,
         )
         future: "asyncio.Future[JobOutcome]" = asyncio.get_running_loop().create_future()
         item = _Accepted(request, job, key, future, accepted_at)

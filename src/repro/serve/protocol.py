@@ -48,7 +48,7 @@ client, and the daemon all describe work identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
@@ -179,10 +179,17 @@ class _Frame:
     TYPE = ""
 
     def to_dict(self) -> Dict[str, Any]:
+        """The frame's JSON document; ``None`` fields are left out.
+
+        Shallow: every field already holds a JSON-native value, so the
+        recursive copy ``dataclasses.asdict`` would make is not needed.
+        The document shares its dict/list values with the frame.
+        """
         doc: Dict[str, Any] = {"v": PROTOCOL_VERSION, "type": self.TYPE}
-        for key, value in asdict(self).items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None:
-                doc[key] = value
+                doc[f.name] = value
         return doc
 
     def to_json(self) -> str:

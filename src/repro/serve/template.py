@@ -50,7 +50,6 @@ from repro.exceptions import ReproError
 from repro.obs import current_tracer
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
-from repro.serve.cache import copy_result
 
 __all__ = [
     "TEMPLATE_FINGERPRINT_VERSION",
@@ -231,8 +230,12 @@ class TemplateCache:
         one, so there is no regret left to bound. Still accepted and
         validated (``>= 1.0``) because the benchmark's daemon launcher
         (``perfbench/launcher.py``) passes it.
-    copy_results:
-        Return defensive copies from :meth:`get` (the default).
+
+    :meth:`get` needs no defensive copy: the served result wraps the
+    execution plan the re-coster built from a fresh copy of the
+    candidate's assignment, and the cache keeps no reference to it. (The
+    batch service's promotion of a hit into the exact cache copies on
+    ``put``.)
     """
 
     def __init__(
@@ -240,7 +243,6 @@ class TemplateCache:
         max_templates: int = 256,
         max_candidates: int = 8,
         guardrail: float = 1.2,
-        copy_results: bool = True,
     ):
         if max_templates < 1:
             raise ReproError(
@@ -254,7 +256,6 @@ class TemplateCache:
             raise ReproError(f"guardrail must be >= 1.0, got {guardrail}")
         self.max_templates = max_templates
         self.max_candidates = max_candidates
-        self.copy_results = copy_results
         self.stats = TemplateCacheStats()
         self._entries: "OrderedDict[str, List[TemplateCandidate]]" = OrderedDict()
 
@@ -333,13 +334,12 @@ class TemplateCache:
         self.stats.hits += 1
         if tracer.enabled:
             tracer.count("serve.template.hits")
-        result = OptimizationResult(
+        return OptimizationResult(
             execution_plan=xplans[pick],
             predicted_runtime=costs[pick],
             stats=RunStats(),
             optimizer=candidates[pick].optimizer,
         )
-        return copy_result(result) if self.copy_results else result
 
     # ------------------------------------------------------------------
     def observe(

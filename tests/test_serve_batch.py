@@ -22,15 +22,17 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.obs import Tracer, use_tracer
-from repro.resilience import ChaosProfile
+from repro.resilience import ChaosProfile, RetryPolicy
 from repro.rheem.platforms import synthetic_registry
 from repro.serve import (
     BatchJob,
     BatchOptimizationService,
     PlanCache,
     available_cpus,
+    plan_fingerprint,
     resilient_robopt_factory,
 )
+from repro.serve import batch as batch_module
 from repro.serve.batch import _WALL_FLOOR_S, BatchReport, JobOutcome
 from repro.serve.testing import (
     count_markers,
@@ -110,6 +112,35 @@ class TestWorkerFailure:
         # The service itself survives: a fresh batch on a fresh pool runs.
         healthy = service.optimize_batch([BatchJob("after", build_pipeline(2))])
         assert healthy.n_failed == 0
+
+    def test_one_pool_break_is_one_death_per_fingerprint(self, registry):
+        """Two jobs of one plan with different deadlines are separate
+        representatives; a pool break they both ride out counts once
+        against their fingerprint, so they get an isolated retry and
+        succeed instead of being quarantined at the first break."""
+        factory = resilient_robopt_factory(platforms=N_PLATFORMS, chaos=CRASHING)
+        service = BatchOptimizationService(
+            factory,
+            registry,
+            workers=2,
+            cache=PlanCache(max_entries=8),
+            retry=RetryPolicy(max_retries=3, base_backoff_s=0.0, jitter=0.0),
+            quarantine_after=2,
+        )
+        report = service.optimize_batch(
+            [
+                BatchJob("bad", _named(build_pipeline(2), "crash-me")),
+                BatchJob("twin-a", build_pipeline(3), deadline_ms=60000.0),
+                BatchJob("twin-b", build_pipeline(3), deadline_ms=50000.0),
+            ]
+        )
+        by_id = {o.job_id: o for o in report.outcomes}
+        assert by_id["bad"].quarantined
+        for job_id in ("twin-a", "twin-b"):
+            assert by_id[job_id].ok, by_id[job_id].error
+            assert not by_id[job_id].quarantined
+            assert by_id[job_id].attempts <= 2
+        assert report.n_quarantined == 1
 
 
 class TestTimeout:
@@ -295,6 +326,64 @@ class TestJobsAndReport:
         assert {"serve.batch", "serve.cache.lookup", "serve.job"} <= names
         assert tracer.counters["serve.jobs"] == 1
         assert tracer.counters["serve.jobs_ok"] == 1
+
+
+class TestPrecomputedFingerprint:
+    """``BatchJob.fingerprint`` spares the service a second hash."""
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        calls = []
+        real = batch_module.plan_fingerprint
+
+        def counting(plan, registry=None):
+            calls.append(plan.name)
+            return real(plan, registry)
+
+        monkeypatch.setattr(batch_module, "plan_fingerprint", counting)
+        return calls
+
+    def test_a_supplied_fingerprint_is_used_as_is(self, registry, monkeypatch):
+        factory = linear_robopt_factory(platforms=N_PLATFORMS)
+        cache = PlanCache(max_entries=8)
+        service = BatchOptimizationService(factory, registry, workers=0, cache=cache)
+        plan = build_pipeline(3)
+        fp = plan_fingerprint(plan, registry)
+        calls = self._count_fingerprints(monkeypatch)
+        first = service.optimize_batch([BatchJob("a", plan, fingerprint=fp)])
+        again = service.optimize_batch([BatchJob("b", plan.clone(), fingerprint=fp)])
+        assert calls == []
+        assert cache.fingerprints() == [fp]
+        assert not first.outcomes[0].cached
+        assert again.outcomes[0].cached
+
+    def test_without_one_the_service_fingerprints_each_job(
+        self, registry, monkeypatch
+    ):
+        factory = linear_robopt_factory(platforms=N_PLATFORMS)
+        service = BatchOptimizationService(
+            factory, registry, workers=0, cache=PlanCache(max_entries=8)
+        )
+        calls = self._count_fingerprints(monkeypatch)
+        report = service.optimize_batch(
+            [
+                BatchJob("a", build_pipeline(3)),
+                BatchJob("b", build_pipeline(3)),
+                BatchJob("c", build_pipeline(3), size_bytes=5e9),
+            ]
+        )
+        assert len(calls) == 3
+        assert [o.cached for o in report.outcomes] == [False, True, False]
+
+    def test_fingerprint_and_size_bytes_are_exclusive(self):
+        with pytest.raises(ReproError, match="unscaled"):
+            BatchJob("j", build_pipeline(2), size_bytes=1e6, fingerprint="f" * 64)
+
+    def test_renamed_duplicates_keep_their_fingerprint(self, registry):
+        job = BatchJob("j", build_pipeline(2), fingerprint="f" * 64)
+        jobs = BatchOptimizationService.as_jobs([job, job])
+        assert [j.job_id for j in jobs] == ["j", "j#1"]
+        assert all(j.fingerprint == "f" * 64 for j in jobs)
 
 
 class TestWarmWorkers:

@@ -99,6 +99,35 @@ class TestOptimizePath:
                 assert response.duration_ms > 0.0
                 assert not response.coalesced
 
+    def test_one_fingerprint_per_request(self, tmp_path, monkeypatch):
+        """The daemon hashes each request once, for coalescing, and hands
+        the key to the service with the job: a miss and a hit alike cost
+        one ``plan_fingerprint``."""
+        from repro.serve import batch, daemon
+
+        calls = []
+        real = daemon.plan_fingerprint
+
+        def counting(plan, registry=None):
+            calls.append(plan.name)
+            return real(plan, registry)
+
+        monkeypatch.setattr(daemon, "plan_fingerprint", counting)
+        monkeypatch.setattr(batch, "plan_fingerprint", counting)
+        service = _service(cache=PlanCache())
+        with run_daemon(service, unix_path=str(tmp_path / "d.sock")) as harness:
+            with ServeClient(harness.address) as client:
+                for size_bytes in (None, 3e9):
+                    request = _plan_request(build_pipeline(3), size_bytes=size_bytes)
+                    before = len(calls)
+                    miss = client.optimize(request)
+                    assert miss.ok and not miss.cached
+                    assert len(calls) == before + 1
+                    hit = client.optimize(request)
+                    assert hit.ok and hit.cached
+                    assert hit.assignment == miss.assignment
+                    assert len(calls) == before + 2
+
     def test_tcp_transport_works_too(self):
         with run_daemon(_service(), host="127.0.0.1", port=0) as harness:
             host, port = harness.address.rsplit(":", 1)

@@ -11,12 +11,14 @@ The wire schema's promises (see ``repro/serve/protocol.py``):
 * the JSONL job-row vocabulary (``load_jobs_jsonl``) degrades per-row.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ReproError
+from repro.serve import protocol
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ErrorResponse,
@@ -189,6 +191,73 @@ class TestRoundTrip:
         doc = json.loads(ErrorResponse(error="x").to_json())
         assert doc["v"] == PROTOCOL_VERSION
         assert doc["type"] == "error"
+
+
+stats_requests = st.builds(StatsRequest, request_id=names)
+shutdown_requests = st.builds(ShutdownRequest, request_id=names)
+stats_responses = st.builds(
+    StatsResponse,
+    request_id=names,
+    counters=st.dictionaries(names, finite, max_size=4),
+    latency_ms=st.dictionaries(names, finite, max_size=3),
+    pending=st.integers(min_value=0, max_value=10**6),
+    draining=st.booleans(),
+    uptime_s=nonneg,
+    feedback=json_objects,
+)
+shutdown_responses = st.builds(
+    ShutdownResponse,
+    request_id=names,
+    draining=st.booleans(),
+    pending=st.integers(min_value=0, max_value=10**6),
+)
+any_frame = st.one_of(
+    optimize_requests,
+    optimize_responses,
+    error_responses,
+    stats_requests,
+    stats_responses,
+    shutdown_requests,
+    shutdown_responses,
+)
+
+
+def _asdict_json(frame) -> str:
+    """The frame encoding as ``dataclasses.asdict`` produced it."""
+    doc = {"v": PROTOCOL_VERSION, "type": frame.TYPE}
+    for key, value in dataclasses.asdict(frame).items():
+        if value is not None:
+            doc[key] = value
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+
+class TestShallowEncoding:
+    """``to_dict`` reads the fields without the recursive ``asdict`` copy;
+    the bytes on the wire must not change."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_frame)
+    def test_same_bytes_as_the_asdict_encoding(self, frame):
+        assert frame.to_json() == _asdict_json(frame)
+
+    def test_every_frame_type_is_generated(self):
+        """``any_frame`` draws from one strategy per frame class."""
+        frame_types = {
+            cls
+            for cls in vars(protocol).values()
+            if isinstance(cls, type)
+            and issubclass(cls, protocol._Frame)
+            and cls is not protocol._Frame
+        }
+        assert frame_types == {
+            OptimizeRequest,
+            OptimizeResponse,
+            ErrorResponse,
+            StatsRequest,
+            StatsResponse,
+            ShutdownRequest,
+            ShutdownResponse,
+        }
 
 
 class TestTolerance:
