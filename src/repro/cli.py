@@ -607,7 +607,6 @@ def cmd_serve(args) -> int:
         max_batch=args.max_batch,
         default_deadline_ms=args.deadline_ms,
         drain_grace_s=args.drain_grace,
-        coalesce=not args.no_coalesce,
     )
     daemon = OptimizationDaemon(service, config, Tracer())
 
@@ -724,101 +723,103 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.set_defaults(func=cmd_optimize)
 
+    # The flags `optimize-batch` and `serve` define identically.
+    service = argparse.ArgumentParser(add_help=False)
+    service.add_argument("--platforms", default="java,spark,flink")
+    service.add_argument("--priority", default="robopt")
+    service.add_argument(
+        "--workers", type=_workers_arg, default=None, metavar="N|auto",
+        help="process count: 'auto' (default) sizes the warm pool from the "
+        "CPUs actually available to this process, 0 forces serial",
+    )
+    service.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-job timeout in seconds (pool mode)",
+    )
+    service.add_argument("--cache-size", type=int, default=256, help="LRU bound")
+    service.add_argument(
+        "--template-cache-size", type=int, default=256,
+        help="LRU bound on distinct templates",
+    )
+    service.add_argument(
+        "--retries", type=int, default=2,
+        help="retry failed jobs this many times with backoff (0 = off)",
+    )
+    service.add_argument(
+        "--quarantine-after", type=int, default=2,
+        help="worker deaths before a plan is quarantined",
+    )
+    service.add_argument(
+        "--no-resilience", action="store_true",
+        help="use the bare optimizer stack (no fallback chain or budget)",
+    )
+    service.add_argument(
+        "--retrain-after", type=int, default=50, metavar="N",
+        help="with --feedback: retrain after this many fresh observations "
+        "(0 = only on drift)",
+    )
+    service.add_argument(
+        "--drift-threshold", type=float, default=4.0, metavar="Q",
+        help="with --feedback: windowed median q-error above this "
+        "triggers an immediate retrain (>= 1.0)",
+    )
+    service.add_argument(
+        "--risk-aversion", type=float, default=0.0, metavar="K",
+        help="rank candidate plans by mean + K*std of the predicted "
+        "runtime instead of the mean (0 = off, bit-identical ranking)",
+    )
+    service.add_argument(
+        "--variance-threshold", type=float, default=None, metavar="R",
+        help="treat sustained high relative prediction variance "
+        "(std/mean above R over a sliding window) as a model soft "
+        "failure and degrade to the fallback chain",
+    )
+
+    def add_service_variants(p, help_for, model_required=False):
+        """The service flags whose help (or ``required``) differs between
+        the two commands; ``help_for`` maps each flag to its text."""
+        for flag, kwargs in (
+            ("--model", {"required": model_required}),
+            ("--cache", {"metavar": "PATH"}),
+            ("--template-cache", {"metavar": "PATH"}),
+            ("--deadline-ms", {"type": float}),
+            ("--chaos-profile", {"metavar": "SPEC"}),
+            ("--feedback", {"action": "store_true"}),
+        ):
+            p.add_argument(flag, help=help_for[flag], **kwargs)
+
     batch = sub.add_parser(
         "optimize-batch",
+        parents=[service],
         help="optimize a JSONL job file through the batch service",
     )
     batch.add_argument("--jobs", required=True, help="JSONL job file (one job per line)")
-    batch.add_argument(
-        "--model", default=None,
-        help="runtime model file (required unless --server is given)",
-    )
     batch.add_argument(
         "--server", default=None, metavar="ADDR",
         help="send the jobs to a running 'repro serve' daemon at ADDR "
         "('unix:/path' or 'host:port') instead of optimizing locally",
     )
-    batch.add_argument("--platforms", default="java,spark,flink")
-    batch.add_argument("--priority", default="robopt")
-    batch.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto",
-        help="process count: 'auto' (default) sizes the warm pool from the "
-        "CPUs actually available to this process, 0 forces serial",
-    )
-    batch.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout in seconds (pool mode)"
-    )
-    batch.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="JSON plan-cache file (loaded if present, saved after the run)",
-    )
-    batch.add_argument("--cache-size", type=int, default=256, help="LRU bound")
-    batch.add_argument(
-        "--template-cache", default=None, metavar="PATH",
-        help="JSON template-cache file: enables the second cache tier "
-        "(cardinality-stripped template keys, re-costed candidate "
-        "reuse; loaded if present, saved after the run)",
-    )
-    batch.add_argument(
-        "--template-cache-size", type=int, default=256,
-        help="LRU bound on distinct templates",
-    )
+    add_service_variants(batch, {
+        "--model": "runtime model file (required unless --server is given)",
+        "--cache": "JSON plan-cache file (loaded if present, saved after the run)",
+        "--template-cache": "JSON template-cache file: enables the second "
+        "cache tier (cardinality-stripped template keys, re-costed "
+        "candidate reuse; loaded if present, saved after the run)",
+        "--deadline-ms": "per-job optimization deadline; expiry returns the "
+        "best complete plan found so far (anytime mode)",
+        "--chaos-profile": "inject deterministic faults: a preset name "
+        "(model-outage, nan-storm, worker-deaths, cache-corruption, "
+        "slow-model, everything) and/or k=v overrides, e.g. "
+        "'model-flaky,seed=7' or 'model_failure_rate=0.5'",
+        "--feedback": "close the loop: execute chosen plans (simulated), "
+        "feed observed runtimes back, and retrain + swap the model when "
+        "the drift monitor trips or --retrain-after observations "
+        "accumulate (retrained models are persisted back to --model)",
+    })
     batch.add_argument("--out", default=None, help="write per-job results as JSONL")
     batch.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL trace of the run (spans + counters)",
-    )
-    batch.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-job optimization deadline; expiry returns the best "
-        "complete plan found so far (anytime mode)",
-    )
-    batch.add_argument(
-        "--retries", type=int, default=2,
-        help="retry failed jobs this many times with backoff (0 = off)",
-    )
-    batch.add_argument(
-        "--quarantine-after", type=int, default=2,
-        help="worker deaths before a plan is quarantined",
-    )
-    batch.add_argument(
-        "--chaos-profile", default=None, metavar="SPEC",
-        help="inject deterministic faults: a preset name (model-outage, "
-        "nan-storm, worker-deaths, cache-corruption, slow-model, "
-        "everything) and/or k=v overrides, e.g. "
-        "'model-flaky,seed=7' or 'model_failure_rate=0.5'",
-    )
-    batch.add_argument(
-        "--no-resilience", action="store_true",
-        help="use the bare optimizer stack (no fallback chain or budget)",
-    )
-    batch.add_argument(
-        "--feedback", action="store_true",
-        help="close the loop: execute chosen plans (simulated), feed "
-        "observed runtimes back, and retrain + swap the model when the "
-        "drift monitor trips or --retrain-after observations accumulate "
-        "(retrained models are persisted back to --model)",
-    )
-    batch.add_argument(
-        "--retrain-after", type=int, default=50, metavar="N",
-        help="with --feedback: retrain after this many fresh observations "
-        "(0 = only on drift)",
-    )
-    batch.add_argument(
-        "--drift-threshold", type=float, default=4.0, metavar="Q",
-        help="with --feedback: windowed median q-error above this "
-        "triggers an immediate retrain (>= 1.0)",
-    )
-    batch.add_argument(
-        "--risk-aversion", type=float, default=0.0, metavar="K",
-        help="rank candidate plans by mean + K*std of the predicted "
-        "runtime instead of the mean (0 = off, bit-identical ranking)",
-    )
-    batch.add_argument(
-        "--variance-threshold", type=float, default=None, metavar="R",
-        help="treat sustained high relative prediction variance "
-        "(std/mean above R over a sliding window) as a model soft "
-        "failure and degrade to the fallback chain",
     )
     batch.add_argument(
         "--bench-record", action="store_true",
@@ -829,6 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[service],
         help="run the persistent optimization daemon (unix socket/TCP)",
     )
     serve.add_argument(
@@ -839,36 +841,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0,
         help="TCP port (0 picks an ephemeral one, announced on stdout)",
     )
-    serve.add_argument("--model", required=True)
-    serve.add_argument("--platforms", default="java,spark,flink")
-    serve.add_argument("--priority", default="robopt")
-    serve.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto",
-        help="process count: 'auto' (default) sizes the warm pool from the "
-        "CPUs actually available to this process, 0 forces serial",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job timeout in seconds (pool mode)",
-    )
-    serve.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="persist the plan cache here (loaded if present, saved on exit)",
-    )
-    serve.add_argument("--cache-size", type=int, default=256, help="LRU bound")
+    add_service_variants(serve, {
+        "--model": None,
+        "--cache": "persist the plan cache here (loaded if present, saved on exit)",
+        "--template-cache": "enable the template cache tier, persisted here "
+        "(loaded if present, saved on exit); parametric streams whose "
+        "cardinalities never repeat reuse plans through it",
+        "--deadline-ms": "default per-request deadline for requests that carry none",
+        "--chaos-profile": "inject deterministic faults (see optimize-batch "
+        "--chaos-profile)",
+        "--feedback": "close the loop: execute chosen plans (simulated), "
+        "feed observed runtimes back, and retrain + swap the model off the "
+        "critical path when drift trips or --retrain-after observations "
+        "accumulate (retrained models are persisted back to --model)",
+    }, model_required=True)
     serve.add_argument(
         "--no-cache", action="store_true",
         help="serve without a plan cache (every request re-optimizes)",
-    )
-    serve.add_argument(
-        "--template-cache", default=None, metavar="PATH",
-        help="enable the template cache tier, persisted here (loaded if "
-        "present, saved on exit); parametric streams whose cardinalities "
-        "never repeat reuse plans through it",
-    )
-    serve.add_argument(
-        "--template-cache-size", type=int, default=256,
-        help="LRU bound on distinct templates",
     )
     serve.add_argument(
         "--max-pending", type=int, default=64,
@@ -880,60 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest micro-batch one dispatch drains from the queue",
     )
     serve.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline for requests that carry none",
-    )
-    serve.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="SECONDS",
         help="how long a drain waits for in-flight jobs before giving up",
-    )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable cross-client in-flight coalescing",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=2,
-        help="retry failed jobs this many times with backoff (0 = off)",
-    )
-    serve.add_argument(
-        "--quarantine-after", type=int, default=2,
-        help="worker deaths before a plan is quarantined",
-    )
-    serve.add_argument(
-        "--chaos-profile", default=None, metavar="SPEC",
-        help="inject deterministic faults (see optimize-batch --chaos-profile)",
-    )
-    serve.add_argument(
-        "--no-resilience", action="store_true",
-        help="use the bare optimizer stack (no fallback chain or budget)",
-    )
-    serve.add_argument(
-        "--feedback", action="store_true",
-        help="close the loop: execute chosen plans (simulated), feed "
-        "observed runtimes back, and retrain + swap the model off the "
-        "critical path when drift trips or --retrain-after observations "
-        "accumulate (retrained models are persisted back to --model)",
-    )
-    serve.add_argument(
-        "--retrain-after", type=int, default=50, metavar="N",
-        help="with --feedback: retrain after this many fresh observations "
-        "(0 = only on drift)",
-    )
-    serve.add_argument(
-        "--drift-threshold", type=float, default=4.0, metavar="Q",
-        help="with --feedback: windowed median q-error above this "
-        "triggers an immediate retrain (>= 1.0)",
-    )
-    serve.add_argument(
-        "--risk-aversion", type=float, default=0.0, metavar="K",
-        help="rank candidate plans by mean + K*std of the predicted "
-        "runtime instead of the mean (0 = off, bit-identical ranking)",
-    )
-    serve.add_argument(
-        "--variance-threshold", type=float, default=None, metavar="R",
-        help="treat sustained high relative prediction variance "
-        "(std/mean above R over a sliding window) as a model soft "
-        "failure and degrade to the fallback chain",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -9,7 +9,8 @@ subpackage provides the batch layer on top of any
   (topology + operator kinds + quantized cardinality buckets), the
   cache key;
 * :mod:`repro.serve.cache` — the fingerprint-keyed LRU
-  :class:`PlanCache` with hit/miss counters and JSON persistence;
+  :class:`PlanCache`, and the store (LRU, counters, JSON persistence)
+  both cache tiers build on;
 * :mod:`repro.serve.template` — the second cache tier:
   :class:`TemplateCache`, keyed by cardinality-*stripped* template
   fingerprints, holding per-template candidate sets that are re-costed
@@ -50,7 +51,7 @@ from repro.serve.batch import (
     resilient_robopt_factory,
     robopt_factory,
 )
-from repro.serve.cache import CacheStats, PlanCache, copy_result
+from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.client import ServeClient, parse_address
 from repro.serve.daemon import DaemonConfig, OptimizationDaemon
 from repro.serve.feedback import FeedbackController
@@ -88,7 +89,6 @@ __all__ = [
     "resilient_robopt_factory",
     "PlanCache",
     "CacheStats",
-    "copy_result",
     "plan_fingerprint",
     "cardinality_bucket",
     "TemplateCache",

@@ -81,7 +81,7 @@ from repro.resilience.retry import Quarantine, RetryPolicy
 from repro.rheem.execution_plan import ExecutionPlan
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
-from repro.serve.cache import PlanCache, copy_result
+from repro.serve.cache import PlanCache
 from repro.serve.fingerprint import plan_fingerprint
 from repro.serve.template import TemplateCache, template_fingerprint
 
@@ -1238,7 +1238,7 @@ class BatchOptimizationService:
                     outcomes[follower.job_id] = JobOutcome(
                         follower.job_id,
                         ok=True,
-                        result=copy_result(rep.result),
+                        result=rep.result.copy(),
                         cached=True,
                         tags=follower.tags,
                     )

@@ -100,7 +100,7 @@ class DaemonConfig:
     bound; ``max_batch`` caps one dispatcher micro-batch;
     ``default_deadline_ms`` applies to optimize frames that carry none;
     ``drain_grace_s`` bounds how long a drain may wait for in-flight
-    work; ``coalesce`` gates the cross-client in-flight table.
+    work.
     """
 
     unix_path: Optional[str] = None
@@ -110,7 +110,6 @@ class DaemonConfig:
     max_batch: int = 32
     default_deadline_ms: Optional[float] = None
     drain_grace_s: float = 30.0
-    coalesce: bool = True
 
     def __post_init__(self):
         if self.unix_path is None and self.host is None:
@@ -448,22 +447,21 @@ class OptimizationDaemon:
 
         # Cross-client coalescing: same fingerprint (and deadline class)
         # already in flight → ride it, free of admission accounting.
-        if self.config.coalesce:
-            sibling = self._inflight.get(key)
-            if sibling is not None:
-                if self.tracer.enabled:
-                    self.tracer.count("serve.jobs_coalesced")
-                try:
-                    outcome = await asyncio.shield(sibling)
-                except Exception as exc:
-                    return ErrorResponse(
-                        request_id=request.request_id,
-                        error=f"{type(exc).__name__}: {exc}",
-                        code="internal",
-                    )
-                return self._outcome_response(
-                    request, outcome, accepted_at, coalesced=True
+        sibling = self._inflight.get(key)
+        if sibling is not None:
+            if self.tracer.enabled:
+                self.tracer.count("serve.jobs_coalesced")
+            try:
+                outcome = await asyncio.shield(sibling)
+            except Exception as exc:
+                return ErrorResponse(
+                    request_id=request.request_id,
+                    error=f"{type(exc).__name__}: {exc}",
+                    code="internal",
                 )
+            return self._outcome_response(
+                request, outcome, accepted_at, coalesced=True
+            )
 
         # Admission control: bounded pending set, structured refusal.
         if self._pending >= self.config.max_pending:
@@ -492,11 +490,8 @@ class OptimizationDaemon:
         self._pending += 1
         if self._drained is not None:
             self._drained.clear()
-        if self.config.coalesce:
-            self._inflight[key] = future
-            future.add_done_callback(
-                lambda _f, key=key: self._inflight.pop(key, None)
-            )
+        self._inflight[key] = future
+        future.add_done_callback(lambda _f, key=key: self._inflight.pop(key, None))
         self._queue.put_nowait(item)
         try:
             outcome = await asyncio.shield(future)

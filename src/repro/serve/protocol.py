@@ -63,7 +63,6 @@ __all__ = [
     "StatsResponse",
     "ShutdownRequest",
     "ShutdownResponse",
-    "parse_frame",
     "parse_request",
     "parse_response",
     "parse_size",
@@ -157,7 +156,7 @@ def _get_dict(
     return value
 
 
-def _check_version(doc: Dict[str, Any], rid: str = "") -> None:
+def _check_version(doc: Dict[str, Any], rid: str) -> None:
     version = doc.get("v")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
@@ -174,7 +173,7 @@ def _check_version(doc: Dict[str, Any], rid: str = "") -> None:
 
 
 class _Frame:
-    """Shared to_json/from_json plumbing; subclasses define TYPE + fields."""
+    """Shared to_json plumbing; subclasses define TYPE, fields and from_dict."""
 
     TYPE = ""
 
@@ -194,20 +193,6 @@ class _Frame:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"), allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _bad(f"invalid JSON frame ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise _bad(f"a frame must be a JSON object, got {type(doc).__name__}")
-        _check_version(doc)
-        kind = doc.get("type")
-        if kind != cls.TYPE:
-            raise _bad(f"expected a {cls.TYPE!r} frame, got {kind!r}")
-        return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]):  # pragma: no cover - overridden
@@ -474,10 +459,6 @@ def parse_request(text: str):
 def parse_response(text: str):
     """Parse one server→client line into a response frame (client side)."""
     return _parse(text, _RESPONSE_TYPES, "response")
-
-
-#: Daemon-side alias — the server parses *frames* off the wire.
-parse_frame = parse_request
 
 
 # ---------------------------------------------------------------------------

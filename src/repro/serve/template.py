@@ -28,11 +28,11 @@ the template's candidate set via :meth:`TemplateCache.observe`. The
 failure mode of this cache is therefore *wasted work*, never a wrong
 plan.
 
-Counters (``serve.template.*``) mirror into the ambient tracer like the
-exact cache's, and JSON persistence carries the same versioned
-invalidation: a corrupt file loads empty (never raises), a foreign
-fingerprint version drops entries, only an explicit unsupported format
-version is an error.
+The LRU over templates, the counters (``serve.template.*`` in the
+ambient tracer) and the versioned JSON persistence are the store the
+exact cache uses (:class:`repro.serve.cache._Store`): a corrupt file
+loads empty (never raises), a foreign fingerprint version drops
+entries, only an explicit unsupported format version is an error.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import OptimizationResult, RunStats
@@ -50,6 +48,7 @@ from repro.exceptions import ReproError
 from repro.obs import current_tracer
 from repro.rheem.logical_plan import LogicalPlan
 from repro.rheem.platforms import PlatformRegistry
+from repro.serve.cache import DEFAULT_BOUND, CacheStats, _Store
 
 __all__ = [
     "TEMPLATE_FINGERPRINT_VERSION",
@@ -171,7 +170,7 @@ class TemplateCandidate:
 
 
 @dataclass
-class TemplateCacheStats:
+class TemplateCacheStats(CacheStats):
     """Monotonic counters of one template cache's lifetime.
 
     ``misses`` counts *every* lookup that did not serve from the cache,
@@ -181,32 +180,8 @@ class TemplateCacheStats:
     template asked outside its coverage) and ``recost_errors``.
     """
 
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
     guardrail_rejects: int = 0
     recost_errors: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "guardrail_rejects": self.guardrail_rejects,
-            "recost_errors": self.recost_errors,
-            "hit_rate": self.hit_rate,
-        }
 
 
 #: ``recost(plan, assignment) -> (model cost, execution plan)`` — supplied
@@ -214,7 +189,7 @@ class TemplateCacheStats:
 Recoster = Callable[[LogicalPlan, Dict[int, str]], Tuple[float, object]]
 
 
-class TemplateCache:
+class TemplateCache(_Store):
     """Per-template candidate sets served by re-costed argmin.
 
     Parameters
@@ -238,50 +213,39 @@ class TemplateCache:
     ``put``.)
     """
 
+    PREFIX = "serve.template."
+    STATS = TemplateCacheStats
+    FORMAT_VERSION = TEMPLATE_CACHE_FORMAT_VERSION
+    FINGERPRINT_VERSION = TEMPLATE_FINGERPRINT_VERSION
+    BOUND_KEY = "max_templates"
+    ENTRIES_KEY = "templates"
+
     def __init__(
         self,
-        max_templates: int = 256,
+        max_templates: int = DEFAULT_BOUND,
         max_candidates: int = 8,
         guardrail: float = 1.2,
     ):
-        if max_templates < 1:
-            raise ReproError(
-                f"template cache needs max_templates >= 1, got {max_templates}"
-            )
+        super().__init__(max_templates)
         if max_candidates < 1:
             raise ReproError(
                 f"template cache needs max_candidates >= 1, got {max_candidates}"
             )
         if guardrail < 1.0:
             raise ReproError(f"guardrail must be >= 1.0, got {guardrail}")
-        self.max_templates = max_templates
         self.max_candidates = max_candidates
-        self.stats = TemplateCacheStats()
-        self._entries: "OrderedDict[str, List[TemplateCandidate]]" = OrderedDict()
 
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
-
-    def fingerprints(self):
-        """The cached template fingerprints, least recently used first."""
-        return list(self._entries)
+    @property
+    def max_templates(self) -> int:
+        return self._bound
 
     def candidates(self, fingerprint: str) -> List[TemplateCandidate]:
         """The candidate set of one template (empty list if absent)."""
         return list(self._entries.get(fingerprint, []))
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     # ------------------------------------------------------------------
     def _miss(self, tracer) -> None:
-        self.stats.misses += 1
-        if tracer.enabled:
-            tracer.count("serve.template.misses")
+        self._count("misses", tracer)
         return None
 
     def get(
@@ -301,17 +265,14 @@ class TemplateCache:
         caller must then enumerate and :meth:`observe` the fresh result.
         """
         tracer = current_tracer()
-        candidates = self._entries.get(fingerprint)
+        candidates = self._touch(fingerprint)
         if not candidates:
             return self._miss(tracer)
-        self._entries.move_to_end(fingerprint)
 
         if len(candidates) > 1:
             request = _cardinality_vector(plan)
             if not any(_covers(c.cardinalities, request) for c in candidates):
-                self.stats.guardrail_rejects += 1
-                if tracer.enabled:
-                    tracer.count("serve.template.guardrail_rejects")
+                self._count("guardrail_rejects", tracer)
                 return self._miss(tracer)
 
         costs: List[float] = []
@@ -323,17 +284,13 @@ class TemplateCache:
                 if not math.isfinite(cost):
                     raise ValueError(f"non-finite re-cost {cost!r}")
             except Exception:
-                self.stats.recost_errors += 1
-                if tracer.enabled:
-                    tracer.count("serve.template.recost_errors")
+                self._count("recost_errors", tracer)
                 return self._miss(tracer)
             costs.append(cost)
             xplans.append(xplan)
 
         pick = costs.index(min(costs))
-        self.stats.hits += 1
-        if tracer.enabled:
-            tracer.count("serve.template.hits")
+        self._count("hits", tracer)
         return OptimizationResult(
             execution_plan=xplans[pick],
             predicted_runtime=costs[pick],
@@ -355,10 +312,7 @@ class TemplateCache:
         assignment appends a candidate (evicting the oldest beyond
         ``max_candidates``).
         """
-        tracer = current_tracer()
-        candidates = self._entries.setdefault(fingerprint, [])
-        self._entries.move_to_end(fingerprint)
-
+        candidates = self._entries.get(fingerprint, [])
         candidate = TemplateCandidate(
             assignment=dict(result.execution_plan.assignment),
             cardinalities=_cardinality_vector(plan),
@@ -373,55 +327,51 @@ class TemplateCache:
             candidates.append(candidate)
             if len(candidates) > self.max_candidates:
                 del candidates[0]
-
-        self.stats.puts += 1
-        if tracer.enabled:
-            tracer.count("serve.template.puts")
-        while len(self._entries) > self.max_templates:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            if tracer.enabled:
-                tracer.count("serve.template.evictions")
+        self._admit(fingerprint, candidates, current_tracer())
 
     # ------------------------------------------------------------------
-    # JSON persistence
+    # JSON persistence: candidates persist as assignments (operator id →
+    # platform name) plus their cardinalities and cost — no serialized
+    # plans, since serving always re-instantiates against the *live*
+    # request's plan.
     # ------------------------------------------------------------------
-    def save(self, path) -> Path:
-        """Write the cache as one JSON document (LRU order preserved).
-
-        Candidates persist as assignments (operator id → platform name)
-        plus their cardinalities and cost — no serialized plans, since
-        serving always re-instantiates against the *live* request's plan.
-        """
-        doc = {
-            "version": TEMPLATE_CACHE_FORMAT_VERSION,
-            "fingerprint_version": TEMPLATE_FINGERPRINT_VERSION,
-            "max_templates": self.max_templates,
-            "templates": [
+    def _encode(self, candidates: List[TemplateCandidate]) -> Dict[str, object]:
+        return {
+            "candidates": [
                 {
-                    "fingerprint": fingerprint,
-                    "candidates": [
-                        {
-                            "assignment": {
-                                str(op_id): name
-                                for op_id, name in candidate.assignment.items()
-                            },
-                            "cardinalities": candidate.cardinalities,
-                            "predicted_runtime": candidate.predicted_runtime,
-                            "optimizer": candidate.optimizer,
-                        }
-                        for candidate in candidates
-                    ],
+                    "assignment": {
+                        str(op_id): name
+                        for op_id, name in candidate.assignment.items()
+                    },
+                    "cardinalities": candidate.cardinalities,
+                    "predicted_runtime": candidate.predicted_runtime,
+                    "optimizer": candidate.optimizer,
                 }
-                for fingerprint, candidates in self._entries.items()
-            ],
+                for candidate in candidates
+            ]
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
-        tmp.replace(path)
-        return path
+
+    @classmethod
+    def _decode(
+        cls, item: Dict[str, object], registry: Optional[PlatformRegistry]
+    ) -> Optional[List[TemplateCandidate]]:
+        known = set(registry.names) if registry is not None else None
+        candidates = []
+        for raw in item.get("candidates", []):
+            assignment = {
+                int(op_id): str(name) for op_id, name in raw["assignment"].items()
+            }
+            if known is not None and not set(assignment.values()) <= known:
+                continue
+            candidates.append(
+                TemplateCandidate(
+                    assignment=assignment,
+                    cardinalities=[float(c) for c in raw.get("cardinalities", [])],
+                    predicted_runtime=float(raw["predicted_runtime"]),
+                    optimizer=str(raw.get("optimizer", "")),
+                )
+            )
+        return candidates or None
 
     @classmethod
     def load(
@@ -433,98 +383,12 @@ class TemplateCache:
     ) -> "TemplateCache":
         """Rebuild a cache from :meth:`save` output.
 
-        Same failure contract as :meth:`PlanCache.load`: a corrupt file
-        (unreadable/truncated/not-an-object/missing version) yields an
-        **empty** cache and bumps ``serve.template.load_corrupt``; a
-        foreign fingerprint version drops all templates silently; only an
-        explicit unsupported format version raises. Individually
-        malformed templates are skipped while the rest load. When a
-        ``registry`` is given, candidates naming platforms outside it are
-        dropped (they could never be instantiated). A ``guardrail`` field
-        or per-template ``observations`` in older files are ignored.
+        Same failure contract as :meth:`PlanCache.load`, counted as
+        ``serve.template.load_corrupt``. When a ``registry`` is given,
+        candidates naming platforms outside it are dropped (they could
+        never be instantiated), and a template left without candidates
+        is dropped with them. A ``guardrail`` field or per-template
+        ``observations`` in older files are ignored. ``kwargs`` go to
+        the constructor.
         """
-        tracer = current_tracer()
-
-        def corrupt(detail: str) -> "TemplateCache":
-            if tracer.enabled:
-                tracer.count("serve.template.load_corrupt")
-                tracer.event(
-                    "serve.template.corrupt", path=str(path), detail=detail
-                )
-            return cls(
-                max_templates=max_templates if max_templates is not None else 256,
-                **kwargs,
-            )
-
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            return corrupt(f"{type(exc).__name__}: {exc}")
-        if not isinstance(doc, dict):
-            return corrupt(f"expected a JSON object, got {type(doc).__name__}")
-        if "version" in doc and doc["version"] != TEMPLATE_CACHE_FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported template cache format version "
-                f"{doc.get('version')!r} (expected {TEMPLATE_CACHE_FORMAT_VERSION})"
-            )
-        if "version" not in doc:
-            return corrupt("missing version field")
-        try:
-            declared_max = int(doc.get("max_templates", 256))
-        except (TypeError, ValueError):
-            declared_max = 256
-        cache = cls(
-            max_templates=max_templates if max_templates is not None else declared_max,
-            **kwargs,
-        )
-        if doc.get("fingerprint_version") != TEMPLATE_FINGERPRINT_VERSION:
-            return cache
-        templates = doc.get("templates", [])
-        if not isinstance(templates, list):
-            return corrupt(f"templates is {type(templates).__name__}, not a list")
-        known = set(registry.names) if registry is not None else None
-        for item in templates:
-            try:
-                fingerprint = item["fingerprint"]
-                if not isinstance(fingerprint, str):
-                    raise TypeError("fingerprint is not a string")
-                candidates = []
-                for raw in item.get("candidates", []):
-                    assignment = {
-                        int(op_id): str(name)
-                        for op_id, name in raw["assignment"].items()
-                    }
-                    if known is not None and not set(assignment.values()) <= known:
-                        continue
-                    candidates.append(
-                        TemplateCandidate(
-                            assignment=assignment,
-                            cardinalities=[
-                                float(c) for c in raw.get("cardinalities", [])
-                            ],
-                            predicted_runtime=float(raw["predicted_runtime"]),
-                            optimizer=str(raw.get("optimizer", "")),
-                        )
-                    )
-                if not candidates:
-                    continue
-            except Exception as exc:
-                if tracer.enabled:
-                    tracer.count("serve.template.load_corrupt")
-                    tracer.event(
-                        "serve.template.corrupt",
-                        path=str(path),
-                        detail=f"template: {type(exc).__name__}: {exc}",
-                    )
-                continue
-            # Bypass observe(): loading must not inflate put/eviction stats.
-            cache._entries[fingerprint] = candidates
-            while len(cache._entries) > cache.max_templates:
-                cache._entries.popitem(last=False)
-        return cache
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TemplateCache(templates={len(self)}/{self.max_templates}, "
-            f"hits={self.stats.hits}, misses={self.stats.misses})"
-        )
+        return cls._load(path, registry, max_templates, **kwargs)

@@ -216,3 +216,52 @@ class TestBatchCli:
         for key in ("latency_p50_s", "latency_p95_s", "latency_p99_s",
                     "workers", "workers_requested", "plans_per_sec"):
             assert key in metrics
+
+
+class TestServiceFlags:
+    """`optimize-batch` and `serve` build their service from one flag table."""
+
+    VALUED = {
+        "--model": "m.pkl",
+        "--platforms": "java,spark",
+        "--priority": "speed",
+        "--workers": "3",
+        "--timeout": "2.5",
+        "--cache": "c.json",
+        "--cache-size": "9",
+        "--template-cache": "t.json",
+        "--template-cache-size": "7",
+        "--deadline-ms": "12",
+        "--retries": "4",
+        "--quarantine-after": "5",
+        "--chaos-profile": "everything",
+        "--retrain-after": "3",
+        "--drift-threshold": "2.0",
+        "--risk-aversion": "0.5",
+        "--variance-threshold": "0.3",
+    }
+    SWITCHES = ["--no-resilience", "--feedback"]
+
+    def _parse_both(self, extra):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        batch = vars(parser.parse_args(["optimize-batch", "--jobs", "j.jsonl", *extra]))
+        serve = vars(parser.parse_args(["serve", "--model", "m.pkl", *extra]))
+        dests = [f.lstrip("-").replace("-", "_") for f in [*self.VALUED, *self.SWITCHES]]
+        return {d: batch[d] for d in dests}, {d: serve[d] for d in dests}
+
+    def test_same_defaults(self):
+        batch, serve = self._parse_both(["--model", "m.pkl"])
+        assert batch == serve
+        assert batch["cache_size"] == 256 and batch["retries"] == 2
+        assert batch["workers"] is None and not batch["feedback"]
+
+    def test_both_accept_every_shared_option(self):
+        extra = [*self.SWITCHES]
+        for flag, value in self.VALUED.items():
+            extra += [flag, value]
+        batch, serve = self._parse_both(extra)
+        assert batch == serve
+        assert batch["workers"] == 3 and batch["deadline_ms"] == 12.0
+        assert batch["no_resilience"] and batch["feedback"]

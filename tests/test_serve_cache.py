@@ -16,8 +16,8 @@ from repro.core.optimizer import Robopt
 from repro.exceptions import ReproError
 from repro.obs import Tracer, use_tracer
 from repro.rheem.platforms import synthetic_registry
-from repro.serve import PlanCache, plan_fingerprint
-from repro.serve.cache import CACHE_FORMAT_VERSION, copy_result
+from repro.serve import PlanCache, TemplateCache, plan_fingerprint
+from repro.serve.cache import CACHE_FORMAT_VERSION
 from repro.serve.testing import LinearRuntimeModel
 
 from conftest import build_pipeline
@@ -173,6 +173,36 @@ class TestPersistence:
             PlanCache.load(path, registry)
 
 
+class TestDeclaredBound:
+    """Both tiers share one loader: a file whose declared LRU bound is not
+    a positive integer loads with the default bound, never raises."""
+
+    @pytest.mark.parametrize("tier", [PlanCache, TemplateCache])
+    @pytest.mark.parametrize("declared", [0, -3, True, "lots"])
+    def test_unusable_bound_loads_with_default(
+        self, tmp_path, optimizer, registry, tier, declared
+    ):
+        import json
+
+        plan = build_pipeline(3)
+        result = optimizer.optimize(plan)
+        cache = tier(4)
+        for i in range(3):
+            if tier is PlanCache:
+                cache.put(f"fp{i}", result)
+            else:
+                cache.observe(f"fp{i}", plan, result)
+        path = cache.save(tmp_path / "cache.json")
+        doc = json.loads(path.read_text())
+        bound_key = "max_entries" if tier is PlanCache else "max_templates"
+        doc[bound_key] = declared
+        path.write_text(json.dumps(doc))
+
+        loaded = tier.load(path, registry)
+        assert getattr(loaded, bound_key) == 256
+        assert loaded.fingerprints() == ["fp0", "fp1", "fp2"]
+
+
 class TestDefensiveCopies:
     def test_hits_are_independent_objects(self, optimizer):
         cache = PlanCache(max_entries=8)
@@ -196,7 +226,7 @@ class TestDefensiveCopies:
     def test_copy_result_drops_enumeration_alias(self, optimizer):
         result = _result(optimizer)
         assert result.final_enumeration is not None
-        clone = copy_result(result)
+        clone = result.copy()
         assert clone.final_enumeration is None
         assert clone.stats is not result.stats
         assert clone.stats.as_dict() == result.stats.as_dict()

@@ -304,36 +304,6 @@ class TestCoalescing:
             responses["rider"].predicted_runtime
         )
 
-    def test_no_coalesce_flag_disables_sharing(self, tmp_path):
-        state = tmp_path / "markers"
-        state.mkdir()
-        factory = counting_robopt_factory(
-            platforms=N_PLATFORMS, state_dir=str(state), sleep_s=0.5
-        )
-        service = BatchOptimizationService(
-            factory, synthetic_registry(N_PLATFORMS), workers=0
-        )
-        plan = build_pipeline(3)
-        results = []
-
-        def ask(delay):
-            time.sleep(delay)
-            with ServeClient(harness.address) as client:
-                results.append(client.optimize(_plan_request(plan)))
-
-        with run_daemon(
-            service, unix_path=str(tmp_path / "d.sock"), coalesce=False
-        ) as harness:
-            threads = [threading.Thread(target=ask, args=(d,)) for d in (0.0, 0.2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30.0)
-
-        assert all(r.ok for r in results)
-        assert not any(r.coalesced for r in results)
-        assert count_markers(str(state), "opt") == 2
-
 
 class TestAdmissionControl:
     def test_overload_burst_gets_structured_refusals(self, tmp_path):
@@ -345,7 +315,6 @@ class TestAdmissionControl:
             service,
             unix_path=str(tmp_path / "d.sock"),
             max_pending=1,
-            coalesce=False,
         ) as harness:
             with ServeClient(harness.address) as client:
                 # distinct plans, all marked slow; pipelined in one burst
@@ -374,7 +343,6 @@ class TestAdmissionControl:
             service,
             unix_path=str(tmp_path / "d.sock"),
             max_pending=1,
-            coalesce=False,
         ) as harness:
             with ServeClient(harness.address) as client:
                 burst = client.optimize_many(
