@@ -5,11 +5,11 @@ four cardinalities within one fingerprint bucket — the parametric-reuse
 situation the plan cache is built for) through
 :class:`BatchOptimizationService` three ways:
 
-* *naive serial* — one optimization per job, no cache, no singleton
-  memoization; what a caller without ``repro.serve`` would do;
-* *batched serial* — the service with the fingerprint cache and
-  singleton memoization (core-count independent: this is the ISSUE 4
-  ">= 2x faster than serial" demonstration);
+* *naive serial* — one optimization per job, no cache; what a caller
+  without ``repro.serve`` would do;
+* *batched serial* — the service with the fingerprint cache
+  (core-count independent: this is the ">= 2x faster than serial"
+  demonstration);
 * *pooled* — an auto-sized warm worker pool plus the cache. The pool is
   sized from the CPUs actually available to this process (affinity /
   cgroup aware), so a single-core box runs serially instead of
@@ -71,9 +71,7 @@ def test_batch_throughput(report):
     factory = linear_robopt_factory(platforms=N_PLATFORMS, seed=3)
     registry = synthetic_registry(N_PLATFORMS)
 
-    naive = BatchOptimizationService(
-        factory, registry, workers=0, memoize_singletons=False
-    )
+    naive = BatchOptimizationService(factory, registry, workers=0)
     naive_report = naive.optimize_batch(_batch_jobs())
     assert naive_report.n_failed == 0
 
@@ -118,7 +116,7 @@ def test_batch_throughput(report):
         "Batch service throughput (100-plan TDGEN batch)",
         ["mode", "wall_s", "plans/s", "cache hit rate"],
         [
-            ["naive serial (no cache/memo)", f"{naive_report.wall_s:.2f}",
+            ["naive serial (no cache)", f"{naive_report.wall_s:.2f}",
              f"{naive_report.plans_per_sec:.1f}", "-"],
             ["batched serial + cache", f"{batched_report.wall_s:.2f}",
              f"{batched_report.plans_per_sec:.1f}",
@@ -161,8 +159,8 @@ def test_batch_throughput(report):
     record_trajectory(
         "serve.batch_throughput", metrics, meta={"platforms": N_PLATFORMS}
     )
-    # The ISSUE 4 acceptance bar: the batch path (cache + memoization)
-    # must be >= 2x faster than naive one-at-a-time optimization.
+    # The acceptance bar: the batch path (cache) must be >= 2x faster
+    # than naive one-at-a-time optimization.
     assert speedup >= 2.0
     # Pool parallelism needs real cores: on a single-core box auto-sizing
     # already degrades to serial, and on a multi-core one the warm pool

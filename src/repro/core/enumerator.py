@@ -22,16 +22,13 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.api import RunStats
-from repro.exceptions import BudgetExceededError, EnumerationError
+from repro.exceptions import EnumerationError
 from repro.core.enumeration import EnumerationContext, PlanVectorEnumeration
 from repro.core.features import FeatureSchema
 from repro.core.operations import (
     MergeScratch,
-    enumerate_singleton,
     merge_enumerations,
-    split,
     unvectorize,
-    vectorize,
 )
 from repro.core.priority import make_priority
 from repro.core.pruning import CostFn, ml_cost, prune
@@ -82,12 +79,6 @@ class PriorityEnumerator:
         than this raises :class:`EnumerationError` (the exhaustive baseline
         at 20+ operators would otherwise materialize 10^6+ vectors,
         cf. Table I).
-    singleton_memo:
-        Optional mutable mapping shared across runs: caches singleton
-        feature matrices by content so a batch of plans with shared
-        subplans vectorizes each distinct singleton once (see
-        :func:`repro.core.operations.enumerate_singleton`; the batch
-        service installs one per batch/worker).
     budget:
         Optional :class:`repro.resilience.budget.Budget` applied to every
         run (a per-call budget passed to :meth:`enumerate_plan` takes
@@ -104,7 +95,6 @@ class PriorityEnumerator:
         pruning: bool = True,
         schema: Optional[FeatureSchema] = None,
         max_vectors: int = 4_000_000,
-        singleton_memo: Optional[Dict] = None,
         budget: Optional[Budget] = None,
     ):
         self.registry = registry
@@ -113,7 +103,6 @@ class PriorityEnumerator:
         self.pruning = pruning
         self.schema = schema if schema is not None else FeatureSchema(registry)
         self.max_vectors = max_vectors
-        self.singleton_memo = singleton_memo
         self.budget = budget
         # Reusable merge arenas. Only safe under pruning: prune's select
         # copies the survivors out of the arenas before the next merge
@@ -152,38 +141,22 @@ class PriorityEnumerator:
         stats = RunStats()
 
         # Lines 2-5: vectorize, split, enumerate singletons, set priorities.
+        # The budget is checked once, before the batched build: with no
+        # budget left there are no fragments to assemble, so the anytime
+        # path falls through to its greedy plan.
+        if clock is not None:
+            reason = clock.check()
+            if reason is not None:
+                return self._anytime_result(
+                    ctx, {}, stats, reason, tracer, started
+                )
         enums: Dict[int, PlanVectorEnumeration] = {}
         op_to_enum: Dict[int, int] = {}
-        ids = itertools.count()
-        try:
-            if self.singleton_memo is None:
-                # No cross-run memo: build every singleton in one batched
-                # pass (same vectors, two scatters for the whole plan).
-                if clock is not None:
-                    clock.ensure()
-                for enumeration in ctx.singleton_enumerations():
-                    eid = next(ids)
-                    enums[eid] = enumeration
-                    stats.singleton_vectors += enumeration.n_vectors
-                    (op_id,) = enumeration.scope
-                    op_to_enum[op_id] = eid
-            else:
-                for abstract in split(vectorize(ctx)):
-                    eid = next(ids)
-                    enumeration = enumerate_singleton(
-                        abstract, memo=self.singleton_memo, clock=clock
-                    )
-                    enums[eid] = enumeration
-                    stats.singleton_vectors += enumeration.n_vectors
-                    (op_id,) = abstract.scope
-                    op_to_enum[op_id] = eid
-        except BudgetExceededError as exc:
-            # Budget gone before the singletons even finished: the partial
-            # enumerations cannot cover the plan, so assembly will fall
-            # through to the greedy path inside _anytime_result.
-            return self._anytime_result(
-                ctx, enums, stats, exc.reason, tracer, started
-            )
+        for eid, enumeration in enumerate(ctx.singleton_enumerations()):
+            enums[eid] = enumeration
+            stats.singleton_vectors += enumeration.n_vectors
+            (op_id,) = enumeration.scope
+            op_to_enum[op_id] = eid
         if tracer.enabled:
             tracer.count("enumerate.singleton_vectors", stats.singleton_vectors)
 
@@ -384,8 +357,8 @@ class PriorityEnumerator:
         finished searches, so cross-fragment conversion costs were never
         compared — hence ``RunStats.degraded``.
 
-        If the fragments do not cover the plan (budget died during the
-        singleton phase) or the cost oracle itself is failing, fall back
+        If the fragments do not cover the plan (budget gone before the
+        singletons were built) or the cost oracle itself is failing, fall back
         to a greedy single-pass assignment that prefers the platform
         feasible for the most operators — always constructible.
         """

@@ -107,69 +107,23 @@ def split(abstract: AbstractPlanVector) -> List[AbstractPlanVector]:
     ]
 
 
-def enumerate_singleton(
-    abstract: AbstractPlanVector, memo: Dict = None, clock=None
-) -> PlanVectorEnumeration:
+def enumerate_singleton(abstract: AbstractPlanVector) -> PlanVectorEnumeration:
     """Instantiate a singleton abstract vector (§IV-C op. 2, base case).
 
     Produces one plan vector per feasible platform of the single operator.
-
-    ``memo`` (optional, mutated in place) caches the computed feature
-    matrix under the singleton's *content* — operator kind, feasible
-    platforms, and the exact static feature vector — so a batch of plans
-    sharing subplans vectorizes each distinct singleton once (the batch
-    service shares one memo per batch/worker). The cached matrix is
-    copied on every hit, never aliased.
-
-    ``clock`` (optional, a :class:`repro.resilience.budget.BudgetClock`)
-    makes the call budget-aware: an expired budget raises
-    :class:`~repro.exceptions.BudgetExceededError` *before* any work.
-    A singleton cannot degrade locally — turning expiry into an anytime
-    answer is the enumerator's job.
+    The enumerator builds every singleton of a plan at once with
+    :meth:`EnumerationContext.singleton_enumerations`, which is
+    bit-identical to this per-operator form.
     """
     if len(abstract.scope) != 1:
         raise EnumerationError(
             f"enumerate_singleton needs a singleton scope, got {sorted(abstract.scope)}"
         )
-    if clock is not None:
-        clock.ensure()
     ctx = abstract.ctx
     (op_id,) = abstract.scope
     alts = ctx.alternatives[op_id]
     static = ctx.static_features(abstract.scope)
     n = len(alts)
-    if memo is not None:
-        # The key must pin everything op_assignment_delta reads: operator
-        # kind, cardinalities, loop membership (all inside the static
-        # vector) plus the plan-level average input tuple size, which the
-        # singleton statics do not encode.
-        key = (
-            ctx.plan.operators[op_id].kind_name,
-            alts.tobytes(),
-            static.tobytes(),
-            ctx.plan.average_input_tuple_size(),
-            # Nested loops: the delta uses the *product* of enclosing
-            # iterations, the statics only their sum — key it explicitly.
-            ctx.plan.loop_iterations(op_id),
-        )
-        hit = memo.get(key)
-        if hit is not None and hit.shape == (n, static.shape[0]):
-            features = hit.copy()
-        else:
-            features = _singleton_features(ctx, op_id, alts, static, n)
-            memo[key] = features.copy()
-    else:
-        features = _singleton_features(ctx, op_id, alts, static, n)
-    assignments = np.full((n, ctx.n_ops), -1, dtype=np.int8)
-    assignments[:, op_id] = alts
-    enum = PlanVectorEnumeration(ctx, abstract.scope, features, assignments)
-    # Singleton rows are the static vector plus per-alternative deltas on
-    # non-static cells, so the rows carry exactly these static values.
-    enum._static_full = static
-    return enum
-
-
-def _singleton_features(ctx, op_id, alts, static, n) -> np.ndarray:
     # One scatter-add over the stacked per-alternative delta lanes (built
     # once per context) replaces the per-alternative Python loop. Lane
     # duplicates within a row only occur on the weight-0 padding lanes
@@ -177,7 +131,13 @@ def _singleton_features(ctx, op_id, alts, static, n) -> np.ndarray:
     cols, vals = ctx.singleton_delta(op_id)
     features = np.tile(static, (n, 1))
     features[np.arange(n)[:, None], cols] += vals
-    return features
+    assignments = np.full((n, ctx.n_ops), -1, dtype=np.int8)
+    assignments[:, op_id] = alts
+    enum = PlanVectorEnumeration(ctx, abstract.scope, features, assignments)
+    # Singleton rows are the static vector plus per-alternative deltas on
+    # non-static cells, so the rows carry exactly these static values.
+    enum._static_full = static
+    return enum
 
 
 def enumerate_abstract(abstract: AbstractPlanVector) -> PlanVectorEnumeration:

@@ -93,10 +93,6 @@ class Robopt:
     schema:
         Optional pre-built feature schema; must match ``registry`` and the
         schema the model was trained with.
-    singleton_memo:
-        Optional shared singleton-feature memo (see
-        :class:`PriorityEnumerator`); the batch service sets one per
-        batch so plans with shared subplans vectorize them once.
     budget:
         Optional :class:`repro.resilience.budget.Budget` (deadline and/or
         vector cap) applied to every run; on expiry ``optimize`` returns
@@ -122,7 +118,6 @@ class Robopt:
         pruning: bool = True,
         schema: Optional[FeatureSchema] = None,
         max_vectors: int = 4_000_000,
-        singleton_memo: Optional[Dict] = None,
         budget: Optional["Budget"] = None,
         risk_aversion: float = 0.0,
     ):
@@ -141,18 +136,8 @@ class Robopt:
             pruning=pruning,
             schema=self.schema,
             max_vectors=max_vectors,
-            singleton_memo=singleton_memo,
             budget=budget,
         )
-
-    @property
-    def singleton_memo(self) -> Optional[Dict]:
-        """The shared singleton-feature memo (``None`` when disabled)."""
-        return self._enumerator.singleton_memo
-
-    @singleton_memo.setter
-    def singleton_memo(self, memo: Optional[Dict]) -> None:
-        self._enumerator.singleton_memo = memo
 
     @property
     def budget(self) -> Optional["Budget"]:

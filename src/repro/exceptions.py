@@ -44,9 +44,10 @@ class EnumerationError(ReproError):
 class BudgetExceededError(EnumerationError):
     """An optimization budget (deadline or vector cap) expired mid-run.
 
-    Raised only from budget-aware primitives; the priority enumerator
-    catches it and degrades to the best complete plan found so far
-    instead of surfacing the error (see ``repro.resilience.budget``).
+    Raised by :meth:`repro.resilience.budget.BudgetClock.ensure` for
+    callers that cannot degrade locally; the priority enumerator polls
+    the clock instead and degrades to the best complete plan found so
+    far (see ``repro.resilience.budget``).
     """
 
     def __init__(self, reason: str, message: str = ""):

@@ -9,10 +9,10 @@ enumerations (see ``PriorityEnumerator._anytime_result``), records
 ``RunStats.degraded``/``RunStats.degradation`` and bumps the
 ``resilience.deadline_hit``/``resilience.degraded`` counters.
 
-Budget-aware primitives that cannot degrade locally (e.g.
-:func:`repro.core.operations.enumerate_singleton`) raise
-:class:`repro.exceptions.BudgetExceededError` instead; only the
-enumerator turns expiry into degradation.
+The enumerator polls :meth:`BudgetClock.check` once before it builds
+the singleton enumerations and again before every concatenation. A
+caller that cannot degrade locally uses :meth:`BudgetClock.ensure`,
+which raises :class:`repro.exceptions.BudgetExceededError` instead.
 """
 
 from __future__ import annotations

@@ -266,15 +266,6 @@ class ChaoticOptimizer:
     def registry(self):
         return self.inner.registry
 
-    @property
-    def singleton_memo(self):
-        return getattr(self.inner, "singleton_memo", None)
-
-    @singleton_memo.setter
-    def singleton_memo(self, memo):
-        if hasattr(self.inner, "singleton_memo"):
-            self.inner.singleton_memo = memo
-
     def optimize(self, plan, budget=None):
         if self.injector.profile.match in (plan.name or ""):
             self._inject(plan.name or "unnamed")

@@ -369,6 +369,32 @@ class FallbackRuntimeModel:
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted costs through the first level that answers sanely."""
+        return self._answer(X, dist=False)[0]
+
+    def predict_one(self, x: np.ndarray) -> float:
+        return float(self.predict(np.asarray(x)[None, :])[0])
+
+    def predict_dist(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(mean, std)`` with honest uncertainty at every level.
+
+        The std encodes which level answered: the primary's real
+        ensemble spread when it offers ``predict_dist``; exact zeros for
+        a primary that only point-predicts (a deterministic predictor
+        has no spread to report, and inventing one would poison
+        risk-adjusted ranking); and ``+inf`` when the call was served
+        from the fallback chain — a degraded cost is an unbounded-
+        uncertainty estimate, and ``mean + k·inf`` correctly makes any
+        risk-averse consumer refuse to prefer it over a primary-priced
+        alternative.
+        """
+        return self._answer(X, dist=True)
+
+    # ------------------------------------------------------------------
+    def _answer(
+        self, X: np.ndarray, dist: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(mean, std)`` from the primary, else from the first fallback
+        that answers sanely; ``std`` is ``None`` unless ``dist``."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -384,25 +410,10 @@ class FallbackRuntimeModel:
                         f"expected {self.expected_features} features, "
                         f"got {X.shape[1]}"
                     )
-                primary = self._resolve_primary()
-                guard = self.variance_guard
-                if guard is not None and hasattr(primary, "predict_dist"):
-                    # One traversal serves both the costs and the health
-                    # check: the dist mean is bit-identical to predict.
-                    mean, std = primary.predict_dist(X)
-                    out = self._validated(mean, n)
-                    guard.observe(out, std)
-                    if guard.tripped:
-                        raise _HighVariance(
-                            "sustained high prediction variance "
-                            f"({sum(guard._flags)}/{guard.window} calls over "
-                            f"threshold {guard.threshold})"
-                        )
-                else:
-                    out = self._validated(primary.predict(X), n)
+                answer = self._primary_answer(X, n, dist)
                 self.breaker.record_success()
                 self._note("primary")
-                return out
+                return answer
             except Exception as exc:
                 self.breaker.record_failure()
                 self.last_error = f"{type(exc).__name__}: {exc}"
@@ -423,81 +434,45 @@ class FallbackRuntimeModel:
             self._note(type(fallback).__name__)
             if tracer.enabled:
                 tracer.count("resilience.fallback")
-            return out
+            return out, (np.full(n, np.inf) if dist else None)
         raise ModelError(
             f"every level of the fallback chain failed "
             f"(last error: {self.last_error})"
         )
 
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(np.asarray(x)[None, :])[0])
+    def _primary_answer(
+        self, X: np.ndarray, n: int, dist: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The primary's ``(mean, std)``; raises on any failure.
 
-    # ------------------------------------------------------------------
-    def predict_dist(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(mean, std)`` with honest uncertainty at every level.
-
-        The std encodes which level answered: the primary's real
-        ensemble spread when it offers ``predict_dist``; exact zeros for
-        a primary that only point-predicts (a deterministic predictor
-        has no spread to report, and inventing one would poison
-        risk-adjusted ranking); and ``+inf`` when the call was served
-        from the fallback chain — a degraded cost is an unbounded-
-        uncertainty estimate, and ``mean + k·inf`` correctly makes any
-        risk-averse consumer refuse to prefer it over a primary-priced
-        alternative.
+        Point predictions (``dist=False``) run the variance guard, when
+        one is set and the primary offers ``predict_dist``: one traversal
+        then serves both the costs and the health check, since the dist
+        mean is bit-identical to ``predict``.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        n = X.shape[0]
-        tracer = current_tracer()
-        if self.breaker.allow():
-            try:
-                if (
-                    self.expected_features is not None
-                    and X.shape[1] != self.expected_features
-                ):
-                    raise ModelError(
-                        f"expected {self.expected_features} features, "
-                        f"got {X.shape[1]}"
+        primary = self._resolve_primary()
+        guard = None if dist else self.variance_guard
+        if (dist or guard is not None) and hasattr(primary, "predict_dist"):
+            mean, std = primary.predict_dist(X)
+            mean = self._validated(mean, n)
+            if guard is not None:
+                guard.observe(mean, std)
+                if guard.tripped:
+                    raise _HighVariance(
+                        "sustained high prediction variance "
+                        f"({sum(guard._flags)}/{guard.window} calls over "
+                        f"threshold {guard.threshold})"
                     )
-                primary = self._resolve_primary()
-                if hasattr(primary, "predict_dist"):
-                    mean, std = primary.predict_dist(X)
-                    mean = self._validated(mean, n)
-                    std = np.asarray(std, dtype=np.float64).reshape(-1)
-                    if std.shape != (n,):
-                        raise ModelError(
-                            f"predict_dist returned std shape {std.shape} "
-                            f"for {n} rows"
-                        )
-                else:
-                    mean = self._validated(primary.predict(X), n)
-                    std = np.zeros(n)
-                self.breaker.record_success()
-                self._note("primary")
-                return mean, std
-            except Exception as exc:
-                self.breaker.record_failure()
-                self.last_error = f"{type(exc).__name__}: {exc}"
-                if tracer.enabled:
-                    tracer.count("resilience.model_failure")
-        elif tracer.enabled:
-            tracer.count("resilience.breaker_short_circuit")
-        for fallback in self.fallbacks:
-            try:
-                out = self._validated(fallback.predict(X), n)
-            except Exception as exc:
-                self.last_error = f"{type(exc).__name__}: {exc}"
-                continue
-            self._note(type(fallback).__name__)
-            if tracer.enabled:
-                tracer.count("resilience.fallback")
-            return out, np.full(n, np.inf)
-        raise ModelError(
-            f"every level of the fallback chain failed "
-            f"(last error: {self.last_error})"
-        )
+                return mean, None
+            std = np.asarray(std, dtype=np.float64).reshape(-1)
+            if std.shape != (n,):
+                raise ModelError(
+                    f"predict_dist returned std shape {std.shape} "
+                    f"for {n} rows"
+                )
+            return mean, std
+        mean = self._validated(primary.predict(X), n)
+        return mean, (np.zeros(n) if dist else None)
 
     def swap_primary(self, model) -> None:
         """Atomically replace the primary model (a feedback-loop retrain).

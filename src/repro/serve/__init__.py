@@ -21,8 +21,8 @@ subpackage provides the batch layer on top of any
 * :mod:`repro.serve.batch` — :class:`BatchOptimizationService`:
   warm-worker process-pool parallelism (CPU-affinity-aware sizing,
   workers initialized once and reused across batches), per-job timeouts,
-  graceful serial fallback, within-batch deduplication,
-  singleton-enumeration memoization, and tail-latency percentiles;
+  graceful serial fallback, within-batch deduplication and
+  tail-latency percentiles;
 * :mod:`repro.serve.protocol` — the versioned wire schema
   (``OptimizeRequest``/``OptimizeResponse``/``ErrorResponse`` frames,
   strict parsing with unknown-field tolerance) shared by the daemon,

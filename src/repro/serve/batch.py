@@ -28,10 +28,6 @@ and drives them through any :class:`repro.api.Optimizer`:
   under the same lock a batch holds, so an install waits for the running
   batch: one model prices every enumeration of a batch, and the cache
   only ever holds prices from the model now serving.
-* **Singleton memoization** — the serial path (and each pool worker)
-  shares one singleton-enumeration memo, so identical subplans are
-  vectorized once (see :func:`repro.core.operations.enumerate_singleton`);
-  with warm workers the memo also persists across batches.
 * **Tail-latency accounting** — every outcome carries its
   dispatch-to-completion latency, and :meth:`BatchReport.metrics`
   reports p50/p95/p99 percentiles alongside throughput, because a
@@ -437,11 +433,9 @@ class BatchReport:
 _WORKER_OPTIMIZER: Optional[Optimizer] = None
 
 
-def _worker_init(factory: Callable[[], Optimizer], memoize: bool) -> None:
+def _worker_init(factory: Callable[[], Optimizer]) -> None:
     global _WORKER_OPTIMIZER
     _WORKER_OPTIMIZER = factory()
-    if memoize:
-        _enable_singleton_memo(_WORKER_OPTIMIZER, {})
 
 
 def _worker_run(
@@ -637,21 +631,6 @@ def resilient_robopt_factory(
     )
 
 
-def _enable_singleton_memo(optimizer: Optimizer, memo: dict) -> bool:
-    """Share a singleton-enumeration memo with an optimizer, if it can.
-
-    Works for any optimizer exposing a ``singleton_memo`` attribute
-    (directly or on its ``_enumerator``); silently does nothing for
-    optimizers without one — memoization is an optimization, not a
-    contract.
-    """
-    for holder in (optimizer, getattr(optimizer, "_enumerator", None)):
-        if holder is not None and hasattr(holder, "singleton_memo"):
-            holder.singleton_memo = memo
-            return True
-    return False
-
-
 def _model_owner(optimizer: Optimizer) -> Any:
     """The optimizer that owns the runtime ``model`` and feature ``schema``.
 
@@ -687,14 +666,8 @@ class _WarmWorkerPool:
     change for a fixed factory.
     """
 
-    def __init__(
-        self,
-        factory: Callable[[], Optimizer],
-        memoize: bool,
-        max_workers: int,
-    ):
+    def __init__(self, factory: Callable[[], Optimizer], max_workers: int):
         self.factory = factory
-        self.memoize = memoize
         self.max_workers = max_workers
         #: Pools spawned over this object's lifetime (1 = never broken).
         self.spawns = 0
@@ -724,7 +697,7 @@ class _WarmWorkerPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=_worker_init,
-                    initargs=(self.factory, self.memoize),
+                    initargs=(self.factory,),
                 )
                 self.spawns += 1
             except Exception as exc:  # no sem support etc.
@@ -791,9 +764,6 @@ class BatchOptimizationService:
         template's candidate set. Requires an optimizer exposing
         ``model`` and ``schema`` (possibly behind ``.inner`` wrappers)
         so candidates can be re-costed; otherwise the tier is skipped.
-    memoize_singletons:
-        Share one singleton-enumeration memo per batch (serial) or per
-        worker (pool) so identical subplans vectorize once.
     retry:
         An optional :class:`~repro.resilience.retry.RetryPolicy`. Failed
         jobs (exceptions and pool breakage — not timeouts, whose budget
@@ -832,7 +802,6 @@ class BatchOptimizationService:
         timeout_s: Optional[float] = None,
         cache: Optional[PlanCache] = None,
         template_cache: Optional[TemplateCache] = None,
-        memoize_singletons: bool = True,
         retry: Optional[RetryPolicy] = None,
         quarantine_after: int = 2,
         feedback=None,
@@ -855,11 +824,10 @@ class BatchOptimizationService:
         #: Whether the optimizer exposes a model and schema to re-cost
         #: template candidates with (``None`` = not yet probed).
         self._can_recost: Optional[bool] = None
-        self.memoize_singletons = memoize_singletons
         self.retry = retry
         self.quarantine = Quarantine(threshold=quarantine_after)
         self._optimizer: Optional[Optimizer] = None
-        self._pool = _WarmWorkerPool(optimizer_factory, memoize_singletons, max(workers, 1))
+        self._pool = _WarmWorkerPool(optimizer_factory, max(workers, 1))
         self.feedback = feedback
         self.model_path = model_path
         #: Held by a batch (lookup, dispatch, publish) and by an install,
@@ -1257,11 +1225,7 @@ class BatchOptimizationService:
     ):
         """One dispatch round: the pool when configured, serial otherwise."""
         if self.workers > 1 and todo:
-            pool = (
-                _WarmWorkerPool(self._factory, self.memoize_singletons, 1)
-                if isolate
-                else self._pool
-            )
+            pool = _WarmWorkerPool(self._factory, 1) if isolate else self._pool
             try:
                 pool_outcomes = self._run_pool(todo, prepared, tracer, pool)
             finally:
@@ -1276,8 +1240,6 @@ class BatchOptimizationService:
         self, todo: List[BatchJob], prepared: Dict[str, LogicalPlan], tracer
     ) -> Dict[str, JobOutcome]:
         optimizer = self._serial_optimizer()
-        if self.memoize_singletons:
-            _enable_singleton_memo(optimizer, {})
         outcomes: Dict[str, JobOutcome] = {}
         for job in todo:
             t0 = time.perf_counter()

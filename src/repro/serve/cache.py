@@ -163,8 +163,7 @@ class _Store:
     def _encode(self, entry) -> Dict[str, Any]:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    @classmethod
-    def _decode(cls, item: Dict[str, Any], registry):  # pragma: no cover - overridden
+    def _decode(self, item: Dict[str, Any], registry):  # pragma: no cover - overridden
         """One persisted entry back to a live one; ``None`` drops it
         silently, an exception counts it as corrupt."""
         raise NotImplementedError
@@ -248,7 +247,7 @@ class _Store:
                 fingerprint = item["fingerprint"]
                 if not isinstance(fingerprint, str):
                     raise TypeError("fingerprint is not a string")
-                entry = cls._decode(item, registry)
+                entry = cache._decode(item, registry)
             except Exception as exc:
                 corrupt(f"entry: {type(exc).__name__}: {exc}")
                 continue
@@ -307,8 +306,7 @@ class PlanCache(_Store):
             "execution_plan": execution_plan_to_dict(result.execution_plan),
         }
 
-    @classmethod
-    def _decode(cls, item: Dict[str, Any], registry) -> OptimizationResult:
+    def _decode(self, item: Dict[str, Any], registry) -> OptimizationResult:
         from repro.rheem.serialization import execution_plan_from_dict
 
         return OptimizationResult(

@@ -17,8 +17,8 @@ socket and/or TCP:
 * **Micro-batching** — one dispatcher task drains whatever requests are
   queued *right now* (up to ``max_batch``) and drives them through the
   service as one batch in a worker thread: concurrent clients get the
-  batch layer's dedupe, singleton memoization and warm-pool parallelism
-  for free, and the service is only ever entered single-file.
+  batch layer's dedupe and warm-pool parallelism for free, and the
+  service is only ever entered single-file.
 * **Cross-client coalescing** — a fingerprint-keyed in-flight table at
   the daemon level (the only one: the service is entered single-file):
   while a fingerprint is being optimized for one client, identical

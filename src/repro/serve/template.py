@@ -199,7 +199,7 @@ class TemplateCache(_Store):
         recency).
     max_candidates:
         Candidates kept per template; inserting beyond it evicts the
-        oldest candidate.
+        oldest candidates, and :meth:`load` keeps the newest ones.
     guardrail:
         Unused: the served candidate is always the cheapest re-costed
         one, so there is no regret left to bound. Still accepted and
@@ -309,8 +309,8 @@ class TemplateCache(_Store):
 
         A result whose assignment matches an existing candidate refreshes
         that candidate's cardinalities and cost in place; a new
-        assignment appends a candidate (evicting the oldest beyond
-        ``max_candidates``).
+        assignment appends a candidate; the oldest candidates beyond
+        ``max_candidates`` are evicted.
         """
         candidates = self._entries.get(fingerprint, [])
         candidate = TemplateCandidate(
@@ -325,8 +325,7 @@ class TemplateCache(_Store):
                 break
         else:
             candidates.append(candidate)
-            if len(candidates) > self.max_candidates:
-                del candidates[0]
+        del candidates[: -self.max_candidates]
         self._admit(fingerprint, candidates, current_tracer())
 
     # ------------------------------------------------------------------
@@ -351,9 +350,8 @@ class TemplateCache(_Store):
             ]
         }
 
-    @classmethod
     def _decode(
-        cls, item: Dict[str, object], registry: Optional[PlatformRegistry]
+        self, item: Dict[str, object], registry: Optional[PlatformRegistry]
     ) -> Optional[List[TemplateCandidate]]:
         known = set(registry.names) if registry is not None else None
         candidates = []
@@ -371,7 +369,8 @@ class TemplateCache(_Store):
                     optimizer=str(raw.get("optimizer", "")),
                 )
             )
-        return candidates or None
+        # Candidates persist oldest first: keep the newest, as eviction would.
+        return candidates[-self.max_candidates :] or None
 
     @classmethod
     def load(
@@ -387,8 +386,9 @@ class TemplateCache(_Store):
         ``serve.template.load_corrupt``. When a ``registry`` is given,
         candidates naming platforms outside it are dropped (they could
         never be instantiated), and a template left without candidates
-        is dropped with them. A ``guardrail`` field or per-template
-        ``observations`` in older files are ignored. ``kwargs`` go to
-        the constructor.
+        is dropped with them. A template saved with more candidates than
+        ``max_candidates`` keeps its newest ones. A ``guardrail`` field
+        or per-template ``observations`` in older files are ignored.
+        ``kwargs`` go to the constructor.
         """
         return cls._load(path, registry, max_templates, **kwargs)

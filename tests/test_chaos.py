@@ -342,6 +342,8 @@ class TestServiceUnderChaos:
         )
         by_id = {o.job_id: o for o in report.outcomes}
         assert by_id["late"].ok and by_id["late"].result.stats.degraded
+        # No budget left before the singletons: the greedy plan answers.
+        assert by_id["late"].result.stats.degradation == "greedy_fallback"
         assert by_id["free"].ok and not by_id["free"].result.stats.degraded
         assert report.n_degraded == 1
 

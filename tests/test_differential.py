@@ -182,8 +182,8 @@ class TestBatchMatchesSerial:
                 b.result.execution_plan.plan.signature()
 
         # A second batch rides the *warm* pool (workers initialized by the
-        # first batch, with their singleton memos populated): still
-        # bit-identical — warmth is an execution detail too.
+        # first batch): still bit-identical — warmth is an execution
+        # detail too.
         warm_report = pooled.optimize_batch(self._jobs())
         pooled.close()
         assert warm_report.n_failed == 0
@@ -194,26 +194,6 @@ class TestBatchMatchesSerial:
                 == b.result.execution_plan.assignment
             )
             assert a.result.predicted_runtime == b.result.predicted_runtime
-
-    def test_memoization_does_not_change_results(self):
-        """The singleton memo is a pure cache: per-job results with it
-        must equal per-job results without it."""
-        registry = _registry()
-        factory = linear_robopt_factory(platforms=N_PLATFORMS, seed=5)
-        plain = BatchOptimizationService(
-            factory, registry, workers=0, memoize_singletons=False
-        )
-        memoized = BatchOptimizationService(
-            factory, registry, workers=0, memoize_singletons=True
-        )
-        a = plain.optimize_batch(self._jobs(24, seed=2024))
-        b = memoized.optimize_batch(self._jobs(24, seed=2024))
-        for x, y in zip(a.outcomes, b.outcomes):
-            assert x.result.predicted_runtime == y.result.predicted_runtime
-            assert (
-                x.result.execution_plan.assignment
-                == y.result.execution_plan.assignment
-            )
 
     def test_cached_results_equal_fresh_results_for_identical_plans(self):
         """For *identical* plans (not just same-bucket ones) a cache hit

@@ -316,3 +316,44 @@ class TestStaticKernel:
             assert got.scope == ref.scope == frozenset({op_id})
             assert got.features.tobytes() == ref.features.tobytes()
             assert np.array_equal(got.assignments, ref.assignments)
+
+    def test_singleton_rows_match_schema_deltas_in_nested_loops(self):
+        """Each batched singleton row is the operator's static vector plus
+        :meth:`FeatureSchema.op_assignment_delta`, bit for bit — on the
+        cases the delta treats specially: nested loops (the delta uses
+        the *product* of the enclosing iterations, the statics only
+        their sum) and a ``Sample`` inside a loop (amortized loop
+        work)."""
+        from repro.rheem.datasets import DatasetProfile
+        from repro.rheem.logical_plan import LogicalPlan
+        from repro.rheem.operators import operator
+
+        plan = LogicalPlan("nested-loops")
+        kinds = ("TextFileSource", "Map", "Sample", "Filter", "Map",
+                 "CollectionSink")
+        ops = [
+            plan.add(
+                operator(kind),
+                dataset=DatasetProfile("d", 1e5, 80.0) if i == 0 else None,
+            )
+            for i, kind in enumerate(kinds)
+        ]
+        plan.chain(*ops)
+        plan.add_loop(ops[1:5], iterations=3)
+        plan.add_loop(ops[2:4], iterations=5)
+        plan.validate()
+        assert plan.loop_iterations(ops[2].id) == 15  # the product
+
+        ctx = EnumerationContext(plan, synthetic_registry(3))
+        schema = ctx.schema
+        for enumeration in ctx.singleton_enumerations():
+            (op_id,) = enumeration.scope
+            static = schema.static_features(plan, frozenset({op_id}))
+            alts = ctx.alternatives[op_id]
+            assert enumeration.n_vectors == len(alts)
+            for row, p in enumerate(alts):
+                cols, vals = schema.op_assignment_delta(plan, op_id, int(p))
+                want = static.copy()
+                want[cols] += vals
+                got = enumeration.features[row]
+                assert got.tobytes() == want.tobytes(), (op_id, int(p))

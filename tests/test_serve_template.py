@@ -429,6 +429,38 @@ class TestPersistence:
         assert len(loaded) == 2
         assert loaded.fingerprints() == ["tfp4", "tfp5"]
 
+    def test_load_keeps_newest_candidates_within_bound(
+        self, tmp_path, optimizer, registry
+    ):
+        """A file saved with more candidates per template than the loading
+        cache's ``max_candidates`` keeps the newest ones (eviction drops
+        the oldest first), and a later observation stays within the
+        bound."""
+        plan = build_pipeline(3, 1e4)
+        tfp = template_fingerprint(plan, registry)
+        result = optimizer.optimize(plan)
+        names = list(registry.names)
+
+        def forged(i):
+            out = result.copy()
+            for bit, op_id in enumerate(sorted(out.execution_plan.assignment)):
+                out.execution_plan.assignment[op_id] = names[(i >> bit) & 1]
+            return out
+
+        cache = TemplateCache(max_candidates=8)
+        for i in range(6):
+            cache.observe(tfp, plan, forged(i))
+        saved = [c.key for c in cache.candidates(tfp)]
+        assert len(saved) == 6
+        path = cache.save(tmp_path / "templates.json")
+
+        loaded = TemplateCache.load(path, registry, max_candidates=2)
+        assert [c.key for c in loaded.candidates(tfp)] == saved[-2:]
+        loaded.observe(tfp, plan, forged(6))
+        keys = [c.key for c in loaded.candidates(tfp)]
+        assert len(keys) == 2
+        assert keys[0] == saved[-1]
+
     def test_old_file_with_observations_and_guardrail_loads(
         self, tmp_path, optimizer, registry
     ):
