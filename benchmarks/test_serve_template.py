@@ -99,7 +99,7 @@ def test_template_cache_hit_rate_and_throughput(report):
     uncached_eval = uncached.optimize_batch(eval_jobs)
     assert uncached_eval.n_failed == 0
 
-    served = eval_report.n_template_hits
+    served = eval_report.template_hits
     speedup = eval_report.plans_per_sec / max(uncached_eval.plans_per_sec, 1e-9)
     report(
         "Template-cache serving (distribution-drawn cardinalities)",

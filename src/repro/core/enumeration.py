@@ -656,33 +656,6 @@ class EnumerationContext:
         """Indices of the scope-static feature columns."""
         return self._static_cols
 
-    def merged_static_values(
-        self,
-        left: "PlanVectorEnumeration",
-        right: "PlanVectorEnumeration",
-        scope: FrozenSet[int],
-        crossing: List[EdgeInfo],
-    ) -> np.ndarray:
-        """Static rewrite values for a merge of two known enumerations.
-
-        Same contract as :func:`static_rewrite_values`, but the caller
-        hands over the two sides and their crossing edges, which unlocks an
-        exact incremental path (see :meth:`_merged_static_info`) instead of
-        the full per-scope kernel pass.
-        """
-        hit = self._static_vals_cache.get(scope)
-        if hit is None:
-            full = self._static_cache.get(scope)
-            if full is None:
-                self._kernel()
-                full, _, _, _ = self._merged_static_info(
-                    left, right, scope, crossing
-                )
-                self._static_cache[scope] = full
-            hit = full[self._static_cols]
-            self._static_vals_cache[scope] = hit
-        return hit
-
     def apply_merged_statics(
         self,
         features: np.ndarray,

@@ -100,7 +100,6 @@ class FeatureSchema:
         self.n_features = cursor + 2
 
         self._static_mask = self._build_static_mask()
-        self._dynamic_cols = np.flatnonzero(~self._static_mask)
 
     # ------------------------------------------------------------------
     # Layout accessors
@@ -281,11 +280,6 @@ class FeatureSchema:
     def static_mask(self) -> np.ndarray:
         """Boolean mask of scope-static columns."""
         return self._static_mask
-
-    @property
-    def dynamic_columns(self) -> np.ndarray:
-        """Indices of assignment-dependent columns."""
-        return self._dynamic_cols
 
     def _build_static_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_features, dtype=bool)

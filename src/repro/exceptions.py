@@ -33,26 +33,8 @@ class PlatformError(ReproError):
     """A platform-related error (unknown platform, unsupported operator)."""
 
 
-class UnsupportedOperatorError(PlatformError):
-    """No platform can execute a given logical operator."""
-
-
 class EnumerationError(ReproError):
     """The plan enumeration reached an inconsistent state."""
-
-
-class BudgetExceededError(EnumerationError):
-    """An optimization budget (deadline or vector cap) expired mid-run.
-
-    Raised by :meth:`repro.resilience.budget.BudgetClock.ensure` for
-    callers that cannot degrade locally; the priority enumerator polls
-    the clock instead and degrades to the best complete plan found so
-    far (see ``repro.resilience.budget``).
-    """
-
-    def __init__(self, reason: str, message: str = ""):
-        self.reason = reason
-        super().__init__(message or f"optimization budget exceeded ({reason})")
 
 
 class ScopeError(EnumerationError):

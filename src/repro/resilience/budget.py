@@ -10,9 +10,7 @@ enumerations (see ``PriorityEnumerator._anytime_result``), records
 ``resilience.deadline_hit``/``resilience.degraded`` counters.
 
 The enumerator polls :meth:`BudgetClock.check` once before it builds
-the singleton enumerations and again before every concatenation. A
-caller that cannot degrade locally uses :meth:`BudgetClock.ensure`,
-which raises :class:`repro.exceptions.BudgetExceededError` instead.
+the singleton enumerations and again before every concatenation.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import BudgetExceededError, ReproError
+from repro.exceptions import ReproError
 
 __all__ = ["Budget", "BudgetClock"]
 
@@ -101,12 +99,6 @@ class BudgetClock:
         if cap is not None and vectors > cap:
             return REASON_MAX_VECTORS
         return None
-
-    def ensure(self, vectors: int = 0) -> None:
-        """Raise :class:`BudgetExceededError` if the budget expired."""
-        reason = self.check(vectors)
-        if reason is not None:
-            raise BudgetExceededError(reason)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -78,9 +78,6 @@ class ExecutionPlan:
         self._conversions: List[ConversionInstance] = None
 
     # ------------------------------------------------------------------
-    def platform_of(self, op_id: int) -> str:
-        return self.assignment[op_id]
-
     def platforms_used(self) -> Tuple[str, ...]:
         """Distinct platforms, in registry order."""
         used = set(self.assignment.values())

@@ -17,17 +17,20 @@ and drives them through any :class:`repro.api.Optimizer`:
   pool — the unfinished jobs fail, the warm pool is discarded, and the
   next dispatch spawns a fresh one. A broken pool or an unpicklable
   optimizer factory degrades gracefully to serial execution.
-* **Plan cache with batch-local dedupe** — an optional fingerprint-keyed
-  :class:`~repro.serve.cache.PlanCache`, shared across every worker
-  (lookups happen in the parent before dispatch; fresh results are
-  published back after). Within a batch, jobs sharing a fingerprint are
-  optimized once. The service is entered one batch at a time (the
+* **Lookup → execute → publish** — *lookup* answers what the optional
+  exact :class:`~repro.serve.cache.PlanCache` and template
+  :class:`~repro.serve.template.TemplateCache` can, and collapses jobs
+  sharing a fingerprint and deadline into one miss with followers;
+  *execute* optimizes the misses; *publish* puts fresh results into
+  both tiers (held in the parent, so shared by every worker) and answers
+  the followers. The service is entered one batch at a time (the
   daemon's dispatcher and the CLI are single-threaded callers);
   coalescing *across* clients is the daemon's job.
 * **Model installs between batches** — a retrained model is installed
-  under the same lock a batch holds, so an install waits for the running
-  batch: one model prices every enumeration of a batch, and the cache
-  only ever holds prices from the model now serving.
+  under the lock a batch holds through all three stages, so an install
+  waits for the running batch: one model prices every enumeration of a
+  batch, and the cache only ever holds prices from the model now
+  serving.
 * **Tail-latency accounting** — every outcome carries its
   dispatch-to-completion latency, and :meth:`BatchReport.metrics`
   reports p50/p95/p99 percentiles alongside throughput, because a
@@ -321,10 +324,6 @@ class BatchReport:
     def cache_hit_rate(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def n_template_hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.template_hit)
 
     @property
     def template_hit_rate(self) -> float:
@@ -725,6 +724,20 @@ class _WarmWorkerPool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _Miss:
+    """A job neither cache tier answered, optimized once for itself and
+    its followers (the batch's later jobs with the same dedupe key)."""
+
+    job: BatchJob
+    #: The plan to optimize (``job.prepared_plan()``).
+    plan: LogicalPlan
+    fingerprint: str
+    #: ``None`` when the template tier was not consulted.
+    template_fp: Optional[str]
+    followers: List[BatchJob] = field(default_factory=list)
+
+
 class BatchOptimizationService:
     """Drives batches of optimization jobs through one optimizer.
 
@@ -892,9 +905,7 @@ class BatchOptimizationService:
         with self._lock, tracer.span(
             "serve.batch", n_jobs=len(jobs), workers=self.workers
         ):
-            outcomes, hits, misses, t_hits, t_misses, mode = self._run(
-                jobs, tracer
-            )
+            outcomes, tallies, mode = self._run(jobs, tracer)
         wall = time.perf_counter() - started
         report = BatchReport(
             outcomes=outcomes,
@@ -902,10 +913,7 @@ class BatchOptimizationService:
             mode=mode,
             workers=self.workers if mode == "pool" else 0,
             workers_requested=self.workers,
-            cache_hits=hits,
-            cache_misses=misses,
-            template_hits=t_hits,
-            template_misses=t_misses,
+            **tallies,
         )
         if tracer.enabled:
             tracer.count("serve.jobs", report.n_jobs)
@@ -1013,91 +1021,92 @@ class BatchOptimizationService:
 
     # ------------------------------------------------------------------
     def _run(self, jobs: List[BatchJob], tracer):
-        """Plan the batch: cache lookups, then dispatch the misses."""
+        """Lookup → execute → publish; the caller holds the install lock."""
+        outcomes, misses, tallies = self._lookup(jobs, tracer)
+        mode = self._execute(misses, outcomes, tracer)
+        tallies["cache_hits"] += self._publish(misses, outcomes)
+        return [outcomes[job.job_id] for job in jobs], tallies, mode
+
+    def _lookup(self, jobs: List[BatchJob], tracer):
+        """Answer what the cache tiers can; collapse the rest into misses.
+
+        Returns the answered outcomes (keyed by job id), the misses in
+        job order, and the :class:`BatchReport` hit/miss tallies.
+        ``cache_misses`` counts representative optimizations: a follower
+        is a batch-local hit when its representative succeeds (counted
+        by :meth:`_publish`) and neither a hit nor a miss when it fails.
+        """
         outcomes: Dict[str, JobOutcome] = {}
-        hits = 0
-        misses = 0
-        template_hits = 0
-        template_misses = 0
-        # Fingerprint every job; serve cache hits immediately and collapse
-        # within-batch duplicates onto one representative optimization.
-        prepared: Dict[str, LogicalPlan] = {}
-        fingerprints: Dict[str, str] = {}
-        template_fps: Dict[str, str] = {}
-        representatives: Dict[str, BatchJob] = {}
-        followers: Dict[str, List[BatchJob]] = {}
+        misses: List[_Miss] = []
+        by_key: Dict[str, _Miss] = {}
+        hits = template_hits = template_misses = 0
         with tracer.span("serve.cache.lookup", n_jobs=len(jobs)):
             for job in jobs:
                 t0 = time.perf_counter()
                 plan = job.prepared_plan()
-                prepared[job.job_id] = plan
                 fp = job.fingerprint or plan_fingerprint(plan, self.registry)
-                fingerprints[job.job_id] = fp
-                if self.cache is not None:
-                    cached = self.cache.get(fp)
-                    if cached is not None:
-                        hits += 1
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=True,
-                            result=cached,
-                            cached=True,
-                            duration_s=time.perf_counter() - t0,
-                            tags=job.tags,
-                        )
-                        continue
-                # Second tier: the template cache. A hit — the cheapest
-                # remembered candidate re-costed at *this* job's
-                # cardinalities — answers without enumeration; a refusal
-                # falls through to the full optimizer.
-                if self.template_cache is not None and self._template_tier_ready():
+                served = self.cache.get(fp) if self.cache is not None else None
+                tfp = None
+                if served is not None:
+                    hits += 1
+                elif self.template_cache is not None and self._template_tier_ready():
+                    # Second tier: the template cache. A hit — the cheapest
+                    # remembered candidate re-costed at *this* job's
+                    # cardinalities — answers without enumeration; a
+                    # refusal falls through to the full optimizer.
                     tfp = template_fingerprint(plan, self.registry)
-                    template_fps[job.job_id] = tfp
                     served = self.template_cache.get(tfp, plan, self._recost)
-                    if served is not None:
+                    if served is None:
+                        template_misses += 1
+                    else:
                         template_hits += 1
                         if self.cache is not None:
                             # Promote into tier 1 so same-bucket
                             # repeats skip the re-costing too.
                             self.cache.put(fp, served)
-                        outcomes[job.job_id] = JobOutcome(
-                            job.job_id,
-                            ok=True,
-                            result=served,
-                            cached=True,
-                            template_hit=True,
-                            duration_s=time.perf_counter() - t0,
-                            tags=job.tags,
-                        )
-                        continue
-                    template_misses += 1
-                # Collapsing same-fingerprint jobs onto one optimization is
-                # the cache's equivalence semantics; without a cache every
-                # job is optimized individually.
-                key = (
-                    _dedupe_key(fp, job.deadline_ms)
-                    if self.cache is not None
-                    else f"job:{job.job_id}"
-                )
-                if key in representatives:
-                    followers.setdefault(key, []).append(job)
+                if served is not None:
+                    outcomes[job.job_id] = JobOutcome(
+                        job.job_id,
+                        ok=True,
+                        result=served,
+                        cached=True,
+                        template_hit=tfp is not None,
+                        duration_s=time.perf_counter() - t0,
+                        tags=job.tags,
+                    )
+                elif self.cache is None:
+                    # Collapsing same-fingerprint jobs onto one optimization
+                    # is the cache's equivalence semantics; without a cache
+                    # every job is optimized individually.
+                    misses.append(_Miss(job, plan, fp, tfp))
                 else:
-                    representatives[key] = job
+                    key = _dedupe_key(fp, job.deadline_ms)
+                    if key in by_key:
+                        by_key[key].followers.append(job)
+                    else:
+                        by_key[key] = _Miss(job, plan, fp, tfp)
+        misses.extend(by_key.values())
+        tallies = {
+            "cache_hits": hits,
+            "cache_misses": len(by_key),
+            "template_hits": template_hits,
+            "template_misses": template_misses,
+        }
+        return outcomes, misses, tallies
 
-        # Each job counts exactly once: a cache hit, a batch-local hit
-        # (follower of a representative), or a miss (actually optimized).
-        if self.cache is not None:
-            misses = len(representatives)
-        todo = list(representatives.values())
-
+    def _execute(
+        self, misses: List[_Miss], outcomes: Dict[str, JobOutcome], tracer
+    ) -> str:
+        """Optimize the misses into ``outcomes`` (quarantine, isolation of
+        suspects, retries); returns the batch mode."""
         # Quarantined fingerprints (plans that repeatedly broke the pool)
         # fail up front instead of being handed another worker to kill.
-        pending: List[BatchJob] = []
-        for job in todo:
-            fp = fingerprints[job.job_id]
+        pending: List[_Miss] = []
+        for miss in misses:
+            fp = miss.fingerprint
             if self.quarantine.is_quarantined(fp):
-                outcomes[job.job_id] = _failed(
-                    job,
+                outcomes[miss.job.job_id] = _failed(
+                    miss.job,
                     f"quarantined: implicated in "
                     f"{self.quarantine.deaths(fp)} worker deaths",
                     tracer,
@@ -1105,7 +1114,7 @@ class BatchOptimizationService:
                     quarantined=True,
                 )
             else:
-                pending.append(job)
+                pending.append(miss)
 
         mode = "serial"
         attempt = 0
@@ -1116,20 +1125,16 @@ class BatchOptimizationService:
             # merely shared a broken pool get a clean round on the warm
             # workers, succeed, and clear their tally instead of riding
             # every crash to the quarantine threshold.
-            suspect_ids = {
-                job.job_id
-                for job in pending
-                if self.quarantine.deaths(fingerprints[job.job_id]) > 0
-            }
-            clean = [job for job in pending if job.job_id not in suspect_ids]
-            groups: List[Tuple[List[BatchJob], bool]] = (
-                [(clean, False)] if clean else []
-            ) + [([job], True) for job in pending if job.job_id in suspect_ids]
+            deaths = self.quarantine.deaths
+            clean = [miss for miss in pending if not deaths(miss.fingerprint)]
+            groups = ([(clean, False)] if clean else []) + [
+                ([miss], True) for miss in pending if deaths(miss.fingerprint)
+            ]
+            # A round fills its own dict: an earlier attempt's outcome in
+            # ``outcomes`` would make the pool's timeout sweep skip a retry.
             dispatched: Dict[str, JobOutcome] = {}
             for group, isolate in groups:
-                got, used_mode = self._dispatch(
-                    group, prepared, tracer, isolate=isolate
-                )
+                got, used_mode = self._dispatch(group, tracer, isolate=isolate)
                 dispatched.update(got)
                 if used_mode == "pool":
                     mode = "pool"
@@ -1137,34 +1142,34 @@ class BatchOptimizationService:
             # of its jobs (different deadlines) were in flight; a death
             # in the round outweighs a sibling's success.
             died, succeeded = set(), set()
-            for job in pending:
-                outcome = dispatched[job.job_id]
+            for miss in pending:
+                outcome = dispatched[miss.job.job_id]
                 outcome.attempts = attempt + 1
-                outcomes[job.job_id] = outcome
+                outcomes[miss.job.job_id] = outcome
                 if outcome.worker_died:
-                    died.add(fingerprints[job.job_id])
+                    died.add(miss.fingerprint)
                     if tracer.enabled:
                         tracer.count("serve.worker_deaths")
                 elif outcome.ok:
-                    succeeded.add(fingerprints[job.job_id])
+                    succeeded.add(miss.fingerprint)
             for fp in died:
                 self.quarantine.record_worker_death(fp)
             for fp in succeeded - died:
                 self.quarantine.record_success(fp)
             if self.retry is None or attempt >= self.retry.max_retries:
                 break
-            retryable: List[BatchJob] = []
-            for job in pending:
-                outcome = outcomes[job.job_id]
+            retryable: List[_Miss] = []
+            for miss in pending:
+                outcome = outcomes[miss.job.job_id]
                 if outcome.ok or outcome.timed_out:
                     continue  # a timeout already consumed the job's budget
-                if self.quarantine.is_quarantined(fingerprints[job.job_id]):
+                if self.quarantine.is_quarantined(miss.fingerprint):
                     outcome.quarantined = True
                     outcome.error = f"{outcome.error}; quarantined"
                     if tracer.enabled:
                         tracer.count("serve.jobs_quarantined")
                     continue
-                retryable.append(job)
+                retryable.append(miss)
             if not retryable:
                 break
             attempt += 1
@@ -1174,11 +1179,16 @@ class BatchOptimizationService:
             if delay > 0:
                 time.sleep(delay)
             pending = retryable
+        return mode
 
-        # Fill followers from their representative (a batch-local hit) and
-        # publish fresh results to the cache.
-        for key, job in representatives.items():
-            rep = outcomes[job.job_id]
+    def _publish(
+        self, misses: List[_Miss], outcomes: Dict[str, JobOutcome]
+    ) -> int:
+        """Publish fresh results to both tiers and answer the followers;
+        returns the batch-local hits (followers of a success)."""
+        follower_hits = 0
+        for miss in misses:
+            rep = outcomes[miss.job.job_id]
             if (
                 rep.ok
                 and rep.result is not None
@@ -1188,21 +1198,16 @@ class BatchOptimizationService:
                 and not rep.result.stats.degraded
             ):
                 if self.cache is not None:
-                    self.cache.put(fingerprints[job.job_id], rep.result)
-                if (
-                    self.template_cache is not None
-                    and job.job_id in template_fps
-                ):
+                    self.cache.put(miss.fingerprint, rep.result)
+                if miss.template_fp is not None:
                     # Fold the fresh optimum back into its template's
                     # candidate set (Kepler's feedback loop).
                     self.template_cache.observe(
-                        template_fps[job.job_id],
-                        prepared[job.job_id],
-                        rep.result,
+                        miss.template_fp, miss.plan, rep.result
                     )
-            for follower in followers.get(key, []):
+            for follower in miss.followers:
                 if rep.ok and rep.result is not None:
-                    hits += 1
+                    follower_hits += 1
                     outcomes[follower.job_id] = JobOutcome(
                         follower.job_id,
                         ok=True,
@@ -1212,41 +1217,33 @@ class BatchOptimizationService:
                     )
                 else:
                     outcomes[follower.job_id] = _failed(follower, rep.error)
-        ordered = [outcomes[job.job_id] for job in jobs]
-        return ordered, hits, misses, template_hits, template_misses, mode
+        return follower_hits
 
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        todo: List[BatchJob],
-        prepared: Dict[str, LogicalPlan],
-        tracer,
-        isolate: bool = False,
-    ):
+    def _dispatch(self, misses: List[_Miss], tracer, isolate: bool = False):
         """One dispatch round: the pool when configured, serial otherwise."""
-        if self.workers > 1 and todo:
+        if self.workers > 1 and misses:
             pool = _WarmWorkerPool(self._factory, 1) if isolate else self._pool
             try:
-                pool_outcomes = self._run_pool(todo, prepared, tracer, pool)
+                pool_outcomes = self._run_pool(misses, tracer, pool)
             finally:
                 if isolate:
                     pool.discard()
             if pool_outcomes is not None:
                 return pool_outcomes, "pool"
-        return self._run_serial(todo, prepared, tracer), "serial"
+        return self._run_serial(misses, tracer), "serial"
 
     # ------------------------------------------------------------------
-    def _run_serial(
-        self, todo: List[BatchJob], prepared: Dict[str, LogicalPlan], tracer
-    ) -> Dict[str, JobOutcome]:
+    def _run_serial(self, misses: List[_Miss], tracer) -> Dict[str, JobOutcome]:
         optimizer = self._serial_optimizer()
         outcomes: Dict[str, JobOutcome] = {}
-        for job in todo:
+        for miss in misses:
+            job = miss.job
             t0 = time.perf_counter()
             try:
                 with tracer.span("serve.job", job=job.job_id, mode="serial"):
                     result = _optimize_with_deadline(
-                        optimizer, prepared[job.job_id], job.deadline_ms
+                        optimizer, miss.plan, job.deadline_ms
                     )
                 outcomes[job.job_id] = JobOutcome(
                     job.job_id,
@@ -1267,11 +1264,7 @@ class BatchOptimizationService:
 
     # ------------------------------------------------------------------
     def _run_pool(
-        self,
-        todo: List[BatchJob],
-        prepared: Dict[str, LogicalPlan],
-        tracer,
-        pool: _WarmWorkerPool,
+        self, misses: List[_Miss], tracer, pool: _WarmWorkerPool
     ) -> Optional[Dict[str, JobOutcome]]:
         """Run jobs on the (warm) process pool; ``None`` means "fall back
         to serial".
@@ -1303,11 +1296,12 @@ class BatchOptimizationService:
             with tracer.span(
                 "serve.pool",
                 workers=pool.max_workers,
-                n_jobs=len(todo),
+                n_jobs=len(misses),
                 warm=was_warm,
             ):
-                for job in todo:
-                    payload = plan_to_json(prepared[job.job_id], indent=0)
+                for miss in misses:
+                    job = miss.job
+                    payload = plan_to_json(miss.plan, indent=0)
                     try:
                         future = executor.submit(
                             _worker_run, job.job_id, payload, job.deadline_ms

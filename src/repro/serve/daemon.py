@@ -124,11 +124,8 @@ class DaemonConfig:
 class _Accepted:
     """One admitted optimize request riding through the dispatcher."""
 
-    request: OptimizeRequest
     job: BatchJob
-    key: Tuple[str, Optional[float]]
     future: "asyncio.Future[JobOutcome]"
-    accepted_at: float
 
 
 class OptimizationDaemon:
@@ -486,7 +483,7 @@ class OptimizationDaemon:
             fingerprint=fingerprint,
         )
         future: "asyncio.Future[JobOutcome]" = asyncio.get_running_loop().create_future()
-        item = _Accepted(request, job, key, future, accepted_at)
+        item = _Accepted(job, future)
         self._pending += 1
         if self._drained is not None:
             self._drained.clear()

@@ -30,7 +30,7 @@ from repro.api import RunStats
 from repro.core.features import FeatureSchema
 from repro.core.optimizer import Robopt
 from repro.cost.cost_model import FeatureCostModel
-from repro.exceptions import BudgetExceededError, ModelError, ReproError
+from repro.exceptions import ModelError, ReproError
 from repro.obs import Tracer, use_tracer
 from repro.resilience.budget import (
     REASON_DEADLINE,
@@ -127,15 +127,6 @@ class TestBudget:
         clock.advance(2.0)
         assert ticking.check(vectors=11) == REASON_DEADLINE
         assert ticking.check(vectors=0) == REASON_DEADLINE
-
-    def test_ensure_raises_with_reason(self):
-        clock = FakeClock()
-        ticking = Budget(deadline_s=0.5).start(clock=clock)
-        ticking.ensure()  # still in budget
-        clock.advance(1.0)
-        with pytest.raises(BudgetExceededError) as err:
-            ticking.ensure()
-        assert err.value.reason == REASON_DEADLINE
 
     def test_remaining_and_elapsed(self):
         clock = FakeClock(now=5.0)

@@ -21,13 +21,14 @@ import time
 import pytest
 
 from repro.exceptions import ReproError
-from repro.obs import Tracer, use_tracer
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.resilience import ChaosProfile, RetryPolicy
 from repro.rheem.platforms import synthetic_registry
 from repro.serve import (
     BatchJob,
     BatchOptimizationService,
     PlanCache,
+    TemplateCache,
     available_cpus,
     plan_fingerprint,
     resilient_robopt_factory,
@@ -913,3 +914,191 @@ class TestInstallRaces:
         finally:
             ctrl.join()
             service.close()
+
+
+class TestStages:
+    """A batch runs lookup → execute → publish, with one ``_Miss`` record
+    per optimization between the stages; each stage on hand-built jobs."""
+
+    @staticmethod
+    def _service(registry, **kwargs):
+        return BatchOptimizationService(
+            linear_robopt_factory(platforms=N_PLATFORMS), registry, workers=0, **kwargs
+        )
+
+    @staticmethod
+    def _miss(job, registry, template_fp=None, followers=()):
+        plan = job.prepared_plan()
+        return batch_module._Miss(
+            job, plan, plan_fingerprint(plan, registry), template_fp, list(followers)
+        )
+
+    # -- lookup ---------------------------------------------------------
+    def test_lookup_answers_an_exact_hit(self, registry):
+        service = self._service(registry, cache=PlanCache())
+        service.optimize_batch([BatchJob("warm", build_pipeline(3))])
+        outcomes, misses, tallies = service._lookup(
+            [BatchJob("j", build_pipeline(3))], NULL_TRACER
+        )
+        assert misses == []
+        assert outcomes["j"].ok and outcomes["j"].cached
+        assert not outcomes["j"].template_hit
+        assert tallies == {
+            "cache_hits": 1,
+            "cache_misses": 0,
+            "template_hits": 0,
+            "template_misses": 0,
+        }
+
+    def test_lookup_promotes_a_template_hit_into_the_exact_tier(self, registry):
+        cache = PlanCache()
+        service = self._service(registry, cache=cache, template_cache=TemplateCache())
+        service.optimize_batch([BatchJob("warm", build_pipeline(3))])
+        job = BatchJob("j", build_pipeline(3), size_bytes=5e9)
+        fp = plan_fingerprint(job.prepared_plan(), registry)
+        assert fp not in cache.fingerprints()
+        outcomes, misses, tallies = service._lookup([job], NULL_TRACER)
+        assert misses == []
+        assert outcomes["j"].template_hit and outcomes["j"].cached
+        assert fp in cache.fingerprints()
+        assert (tallies["template_hits"], tallies["template_misses"]) == (1, 0)
+
+    def test_lookup_collapses_same_fingerprint_jobs_into_one_miss(self, registry):
+        service = self._service(registry, cache=PlanCache())
+        jobs = [BatchJob("a", build_pipeline(3)), BatchJob("b", build_pipeline(3))]
+        outcomes, misses, tallies = service._lookup(jobs, NULL_TRACER)
+        assert outcomes == {}
+        (miss,) = misses
+        assert miss.job.job_id == "a"
+        assert [f.job_id for f in miss.followers] == ["b"]
+        assert miss.template_fp is None  # no template tier configured
+        assert (tallies["cache_hits"], tallies["cache_misses"]) == (0, 1)
+
+    def test_lookup_keeps_different_deadlines_apart(self, registry):
+        service = self._service(registry, cache=PlanCache())
+        jobs = [
+            BatchJob("a", build_pipeline(3)),
+            BatchJob("b", build_pipeline(3), deadline_ms=50.0),
+        ]
+        _, misses, tallies = service._lookup(jobs, NULL_TRACER)
+        assert [m.job.job_id for m in misses] == ["a", "b"]
+        assert all(m.followers == [] for m in misses)
+        assert tallies["cache_misses"] == 2
+
+    def test_lookup_without_a_cache_collapses_nothing(self, registry):
+        service = self._service(registry)
+        jobs = [BatchJob("a", build_pipeline(3)), BatchJob("b", build_pipeline(3))]
+        _, misses, tallies = service._lookup(jobs, NULL_TRACER)
+        assert [m.job.job_id for m in misses] == ["a", "b"]
+        assert all(m.followers == [] for m in misses)
+        assert tallies["cache_misses"] == 0
+
+    # -- execute --------------------------------------------------------
+    def test_execute_fails_a_quarantined_fingerprint_without_dispatch(
+        self, registry
+    ):
+        service = self._service(registry, quarantine_after=1)
+        miss = self._miss(BatchJob("a", build_pipeline(3)), registry)
+        service.quarantine.record_worker_death(miss.fingerprint)
+        dispatched = []
+        service._dispatch = lambda group, *args, **kwargs: dispatched.append(group)
+        outcomes = {}
+        assert service._execute([miss], outcomes, NULL_TRACER) == "serial"
+        assert dispatched == []
+        assert not outcomes["a"].ok and outcomes["a"].quarantined
+
+    def test_execute_retries_only_failures_that_did_not_time_out(self, registry):
+        service = self._service(
+            registry, retry=RetryPolicy(max_retries=1, base_backoff_s=0.0)
+        )
+        misses = [
+            self._miss(BatchJob(name, build_pipeline(n)), registry)
+            for name, n in (("fine", 2), ("flaky", 3), ("slow", 4))
+        ]
+        rounds = []
+
+        def scripted(group, tracer, isolate=False):
+            rounds.append([m.job.job_id for m in group])
+            got = {}
+            for miss in group:
+                job_id = miss.job.job_id
+                if job_id == "fine" or len(rounds) > 1:
+                    got[job_id] = JobOutcome(job_id, ok=True)
+                elif job_id == "slow":
+                    got[job_id] = JobOutcome(job_id, ok=False, timed_out=True)
+                else:
+                    got[job_id] = JobOutcome(job_id, ok=False, error="boom")
+            return got, "serial"
+
+        service._dispatch = scripted
+        outcomes = {}
+        service._execute(misses, outcomes, NULL_TRACER)
+        assert rounds == [["fine", "flaky", "slow"], ["flaky"]]
+        assert outcomes["flaky"].ok and outcomes["flaky"].attempts == 2
+        assert outcomes["slow"].timed_out and outcomes["slow"].attempts == 1
+        assert outcomes["fine"].attempts == 1
+
+    # -- publish --------------------------------------------------------
+    def test_publish_keeps_degraded_results_out_of_both_tiers(self, registry):
+        cache, templates = PlanCache(), TemplateCache()
+        service = self._service(registry, cache=cache, template_cache=templates)
+        fresh, degraded = (
+            self._miss(BatchJob(name, build_pipeline(n)), registry, template_fp=name)
+            for name, n in (("fresh", 2), ("degraded", 3))
+        )
+        outcomes = {}
+        for miss in (fresh, degraded):
+            result = service._serial_optimizer().optimize(miss.plan)
+            result.stats.degraded = miss is degraded
+            outcomes[miss.job.job_id] = JobOutcome(miss.job.job_id, ok=True, result=result)
+        service._publish([fresh, degraded], outcomes)
+        assert cache.fingerprints() == [fresh.fingerprint]
+        assert len(templates.candidates("fresh")) == 1
+        assert templates.candidates("degraded") == []
+
+    def test_publish_hands_a_failed_representatives_error_to_followers(
+        self, registry
+    ):
+        service = self._service(registry, cache=PlanCache())
+        followers = [BatchJob("b", build_pipeline(3)), BatchJob("c", build_pipeline(3))]
+        miss = self._miss(BatchJob("a", build_pipeline(3)), registry, followers=followers)
+        outcomes = {"a": JobOutcome("a", ok=False, error="RuntimeError: boom")}
+        assert service._publish([miss], outcomes) == 0
+        for job_id in ("b", "c"):
+            assert not outcomes[job_id].ok
+            assert outcomes[job_id].error == "RuntimeError: boom"
+        assert len(service.cache) == 0
+
+    def test_publish_gives_followers_a_copy_of_the_result(self, registry):
+        service = self._service(registry, cache=PlanCache())
+        miss = self._miss(
+            BatchJob("a", build_pipeline(3)),
+            registry,
+            followers=[BatchJob("b", build_pipeline(3))],
+        )
+        result = service._serial_optimizer().optimize(miss.plan)
+        outcomes = {"a": JobOutcome("a", ok=True, result=result)}
+        assert service._publish([miss], outcomes) == 1
+        follower = outcomes["b"]
+        assert follower.ok and follower.cached
+        assert follower.result is not result
+        assert follower.result.execution_plan is not result.execution_plan
+        assert follower.result.execution_plan.assignment == result.execution_plan.assignment
+        assert follower.result.predicted_runtime == result.predicted_runtime
+
+    # -- the composition ------------------------------------------------
+    def test_a_failed_representative_counts_one_miss_and_no_hits(self, registry):
+        """``cache_misses`` counts representative optimizations; the
+        followers of a failed one are neither hits nor misses."""
+        service = self._service(registry, cache=PlanCache())
+
+        def boom(plan, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        service._serial_optimizer().optimize = boom
+        report = service.optimize_batch(
+            [BatchJob(name, build_pipeline(3)) for name in ("a", "b", "c")]
+        )
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        assert report.n_failed == 3
+        assert all(o.error == "RuntimeError: boom" for o in report.outcomes)
