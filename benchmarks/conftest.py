@@ -34,17 +34,6 @@ def _emit(text: str, name: str) -> None:
         f.write(text + "\n")
 
 
-def pytest_runtest_logreport(report):
-    """Append every passing benchmark's wall-clock to the perf trajectory.
-
-    Writes ``BENCH_<yyyymmdd>.json`` at the repo root (see
-    :mod:`repro.bench.trajectory`); disable with ``REPRO_BENCH_FILE=""``.
-    """
-    if report.when != "call" or not report.passed:
-        return
-    record_trajectory(report.nodeid, {"duration_s": report.duration})
-
-
 @pytest.fixture
 def trajectory(request):
     """``trajectory(metrics, meta=...)`` — record richer benchmark metrics."""

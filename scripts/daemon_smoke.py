@@ -10,6 +10,9 @@ distinct ones, then checks the serving contracts end to end:
   dropped connection);
 * the overlapping fingerprints were coalesced across clients
   (``serve.jobs_coalesced > 0`` in the ``stats`` frame);
+* the optimizer's own counters reach that frame from the batch thread
+  (``model.calls > 0`` and ``enumerate.merges > 0``), although the
+  daemon keeps no spans;
 * SIGTERM drains cleanly: the process exits 0 and reports
   "daemon drained cleanly".
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -48,7 +52,27 @@ def main(argv=None) -> int:
 
     workdir = tempfile.mkdtemp(prefix="repro-daemon-smoke-")
     socket_path = os.path.join(workdir, "daemon.sock")
+    model_path = os.path.join(workdir, "model.pkl")
     env = dict(os.environ)
+    # A tiny real model (~1 s): without one the fallback chain serves and
+    # the forest's ``model.*`` counters never move.
+    subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "train",
+            "--points",
+            "200",
+            "--seed",
+            "3",
+            "--out",
+            model_path,
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        check=True,
+    )
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -58,7 +82,7 @@ def main(argv=None) -> int:
             "--socket",
             socket_path,
             "--model",
-            os.path.join(workdir, "no-model.pkl"),  # fallback chain serves
+            model_path,
             "--workers",
             "0",
         ],
@@ -160,6 +184,12 @@ def main(argv=None) -> int:
                 "serve.jobs_coalesced == 0: concurrent identical requests "
                 "were not coalesced"
             )
+        for name in ("model.calls", "enumerate.merges"):
+            if stats.counters.get(name, 0) <= 0:
+                failures.append(
+                    f"{name} missing from the stats frame: fresh "
+                    "enumerations did not count into the daemon's tracer"
+                )
 
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=args.drain_timeout)
@@ -171,6 +201,7 @@ def main(argv=None) -> int:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
+        shutil.rmtree(workdir, ignore_errors=True)
 
     if failures:
         for failure in failures:

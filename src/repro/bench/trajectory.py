@@ -2,11 +2,11 @@
 
 Benchmark numbers are only useful over time — a single Fig. 9 table says
 "Robopt is fast today", a trajectory of them says whether a refactor made
-it slower. Every benchmark run therefore appends its measurements to
-``BENCH_<yyyymmdd>.json`` at the repository root (one JSON array per
-day), via the ``pytest_runtest_logreport`` hook in
-``benchmarks/conftest.py``. Benchmarks can also call :func:`record`
-directly with richer metrics (latencies, subplan counts, trace counters).
+it slower. Benchmarks therefore append their measurements (latencies,
+subplan counts, trace counters) to ``BENCH_<yyyymmdd>.json`` at the
+repository root (one JSON array per day), by calling :func:`record`
+directly or through the ``trajectory`` fixture in
+``benchmarks/conftest.py``.
 
 Override the destination with the ``REPRO_BENCH_FILE`` environment
 variable; set it to an empty string to disable recording entirely.

@@ -556,7 +556,6 @@ def cmd_serve(args) -> int:
     ``shutdown`` frame; exits 0 after a clean drain."""
     import asyncio
 
-    from repro.obs import Tracer
     from repro.resilience import RetryPolicy
     from repro.serve import (
         BatchOptimizationService,
@@ -608,7 +607,7 @@ def cmd_serve(args) -> int:
         default_deadline_ms=args.deadline_ms,
         drain_grace_s=args.drain_grace,
     )
-    daemon = OptimizationDaemon(service, config, Tracer())
+    daemon = OptimizationDaemon(service, config)
 
     def ready(addresses):
         # The readiness line: scripts wait for it, and with --port 0 it

@@ -14,11 +14,17 @@ no-op by default — tracing costs nothing unless a run opts in:
     tracer.export("trace.jsonl")
 
 The CLI exposes the same via ``repro optimize --trace trace.jsonl``.
+
+A long-lived process counts without keeping spans: the ``repro serve``
+daemon runs every batch under a :class:`CounterTracer`, whose counters
+feed its ``stats`` frame and whose ``span``/``event`` are no-ops. Spans
+are recorded only when the caller hands the daemon a full ``Tracer``.
 See ``docs/observability.md`` for the span taxonomy and trace format.
 """
 
 from repro.obs.tracer import (
     NULL_TRACER,
+    CounterTracer,
     NullTracer,
     Span,
     Tracer,
@@ -30,6 +36,7 @@ from repro.obs.export import counters, read_trace, spans_named, write_trace
 __all__ = [
     "Span",
     "Tracer",
+    "CounterTracer",
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",

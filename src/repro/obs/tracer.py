@@ -8,9 +8,12 @@ emit **spans** (named, nested, wall-clock-timed regions with arbitrary
 attributes) and **counters** (monotonic named totals), and a finished
 trace exports to JSONL for offline analysis.
 
-Two tracer implementations share one duck type:
+Three tracer implementations share one duck type:
 
 * :class:`Tracer` — records spans and counters in memory;
+* :class:`CounterTracer` — keeps the counters only; spans and events
+  are no-ops, so a long-lived process (the ``repro serve`` daemon) can
+  count forever in constant memory;
 * :class:`NullTracer` — the ambient default; every operation is a no-op
   and ``enabled`` is ``False`` so hot paths can skip even argument
   construction (``if tracer.enabled: ...``).
@@ -38,6 +41,7 @@ from typing import Any, Dict, Iterator, List, Optional
 __all__ = [
     "Span",
     "Tracer",
+    "CounterTracer",
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
@@ -185,6 +189,35 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+class CounterTracer:
+    """Counters always, spans never: the tracer of a long-lived process.
+
+    ``enabled`` is ``True``, so instrumented code counts exactly as it
+    does under a :class:`Tracer`, but ``span`` hands out the shared no-op
+    span and ``event`` returns at once. Memory stays one dict entry per
+    counter name however many requests are answered.
+    """
+
+    enabled = True
+
+    def __init__(self):
+        #: monotonic named totals
+        self.counters: Dict[str, float] = {}
+
+    def span(self, name: str, **attrs: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def count(self, name: str, value: float = 1) -> None:
+        """Add ``value`` to the named counter."""
+        self.counters[name] = self.counters.get(name, 0) + value
+
+    def event(self, name: str, **attrs: Any) -> None:
+        pass
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"CounterTracer(counters={len(self.counters)})"
 
 
 class NullTracer:

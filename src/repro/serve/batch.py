@@ -94,12 +94,12 @@ __all__ = [
     "resilient_robopt_factory",
 ]
 
-#: Wall-clock floor for rate computations. ``plans_per_sec`` divides by
-#: Durations below this are untimed artifacts (e.g. follower outcomes
-#: published with an exact-zero duration), not measurements; they are
-#: excluded from the latency-percentile sample.
+#: Latency floor. Durations below this are untimed artifacts (e.g.
+#: follower outcomes published with an exact-zero duration), not
+#: measurements; they are excluded from the latency-percentile sample.
 _LATENCY_FLOOR_S = 1e-6
 
+#: Wall-clock floor for rate computations. ``plans_per_sec`` divides by
 #: ``max(wall_s, _WALL_FLOOR_S)`` — a 3.5 ms run of 2 jobs reports a
 #: bounded lower-bound rate instead of an absurd extrapolation from a
 #: sub-resolution sample.
@@ -1216,7 +1216,14 @@ class BatchOptimizationService:
                         tags=follower.tags,
                     )
                 else:
-                    outcomes[follower.job_id] = _failed(follower, rep.error)
+                    # The follower failed the way its representative did.
+                    outcomes[follower.job_id] = _failed(
+                        follower,
+                        rep.error,
+                        timed_out=rep.timed_out,
+                        worker_died=rep.worker_died,
+                        quarantined=rep.quarantined,
+                    )
         return follower_hits
 
     # ------------------------------------------------------------------

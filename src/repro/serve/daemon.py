@@ -36,7 +36,11 @@ socket and/or TCP:
   drain that cannot finish within ``drain_grace_s`` force-stops and
   exits 1 — visible, not hung.
 * **Introspection** — a ``stats`` frame returns the tracer's counters
-  plus live p50/p95/p99 over the recent answered-request window. When
+  plus live p50/p95/p99 over the recent answered-request window. The
+  default tracer is a :class:`~repro.obs.CounterTracer`: counters
+  always, spans never, so a daemon's memory does not grow with the
+  requests it answers. Spans are recorded only when the caller passes a
+  full :class:`~repro.obs.Tracer` to the constructor. When
   the owned service carries a :class:`~repro.serve.template.TemplateCache`
   (``repro serve --template-cache``), its ``serve.template.*`` counters
   (hits, misses, guardrail_rejects — coverage refusals of
@@ -57,10 +61,10 @@ import collections
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ReproError
-from repro.obs import Tracer, use_tracer
+from repro.obs import CounterTracer, Tracer, use_tracer
 from repro.serve.batch import BatchJob, BatchOptimizationService, JobOutcome, _percentile
 from repro.serve.fingerprint import plan_fingerprint
 from repro.serve.protocol import (
@@ -134,18 +138,20 @@ class OptimizationDaemon:
     The daemon does not own the service's lifetime semantics beyond
     :meth:`~repro.serve.batch.BatchOptimizationService.close` on stop —
     construct the service with whatever cache/armor/worker configuration
-    the deployment needs and hand it over.
+    the deployment needs and hand it over. ``tracer`` defaults to a
+    :class:`~repro.obs.CounterTracer`; pass a :class:`~repro.obs.Tracer`
+    to record every span of every request as well.
     """
 
     def __init__(
         self,
         service: BatchOptimizationService,
         config: DaemonConfig,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Union[Tracer, CounterTracer]] = None,
     ):
         self.service = service
         self.config = config
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer if tracer is not None else CounterTracer()
         self._queue: "asyncio.Queue[Optional[_Accepted]]" = None  # type: ignore[assignment]
         self._inflight: Dict[Tuple[str, Optional[float]], "asyncio.Future[JobOutcome]"] = {}
         self._latencies: Deque[float] = collections.deque(maxlen=LATENCY_WINDOW)

@@ -195,20 +195,19 @@ class DaemonHarness:
 
     ``asyncio.run(daemon.run(...))`` happens off the main thread, so the
     daemon's signal hooks are skipped (it tolerates that) and drain is
-    driven by the ``shutdown`` frame or :meth:`stop`. The harness owns a
-    fresh :class:`~repro.obs.Tracer` (``harness.tracer``) unless one is
-    passed in.
+    driven by the ``shutdown`` frame or :meth:`stop`. ``harness.tracer``
+    is the daemon's: the ``tracer`` passed in, else the daemon's default
+    counters-only tracer.
     """
 
     def __init__(self, service, tracer=None, **config_kwargs):
-        from repro.obs import Tracer
         from repro.serve.daemon import DaemonConfig, OptimizationDaemon
 
         config_kwargs.setdefault("drain_grace_s", 20.0)
-        self.tracer = tracer if tracer is not None else Tracer()
         self.daemon = OptimizationDaemon(
-            service, DaemonConfig(**config_kwargs), tracer=self.tracer
+            service, DaemonConfig(**config_kwargs), tracer=tracer
         )
+        self.tracer = self.daemon.tracer
         self.exit_code = None
         self.addresses = []
         self.loop = None

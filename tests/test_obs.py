@@ -1,8 +1,9 @@
 """Tests for the observability layer (repro.obs).
 
 Covers the tracer itself (nesting, counters, ambient installation), the
-JSONL export round-trip, the counters-vs-RunStats consistency of a traced
-enumeration, and the <5% no-op overhead requirement on the Fig. 9
+counters-only tracer the daemon runs under, the JSONL export round-trip,
+the counters-vs-RunStats consistency of a traced enumeration, and the <5%
+overhead requirement of the no-op and counters-only tracers on the Fig. 9
 efficiency micro-benchmark.
 """
 
@@ -17,6 +18,7 @@ from repro.core.enumerator import PriorityEnumerator
 from repro.core.features import FeatureSchema
 from repro.obs import (
     NULL_TRACER,
+    CounterTracer,
     NullTracer,
     Tracer,
     counters,
@@ -99,6 +101,41 @@ class TestAmbientTracer:
         null.count("x", 5)
         null.event("y")
         assert null.records() == []
+
+
+def _fig9_micro():
+    """A Robopt and the 20-op pipeline of the Fig. 9 micro-benchmark."""
+    from repro.bench.synthetic_setup import latency_setup
+    from repro.core.optimizer import Robopt
+    from repro.workloads import synthetic
+
+    registry, schema, model, _ = latency_setup(2)
+    return Robopt(registry, model, schema=schema), synthetic.pipeline_plan(20)
+
+
+class TestCounterTracer:
+    def test_counts_like_a_tracer(self):
+        robopt, plan = _fig9_micro()
+        full, counting = Tracer(), CounterTracer()
+        for tracer in (full, counting):
+            with use_tracer(tracer):
+                robopt.optimize(plan)
+        assert len(full.spans) > 0
+        assert counting.counters == full.counters
+        assert counting.counters["model.calls"] > 0
+        assert counting.counters["enumerate.merges"] > 0
+
+    def test_records_no_spans_or_events(self):
+        tracer = CounterTracer()
+        assert tracer.enabled
+        with tracer.span("work", rows=3) as span:
+            span.set(survivors=1)
+            tracer.event("tick", k=1)
+        tracer.count("n")
+        tracer.count("n", 4)
+        tracer.count("m", 2.5)
+        # The counters are the tracer's only state.
+        assert vars(tracer) == {"counters": {"n": 5, "m": 2.5}}
 
 
 class TestExport:
@@ -228,9 +265,11 @@ class _TouchCountingTracer(NullTracer):
 
     def __init__(self):
         self.touches = 0
+        self.span_touches = 0
 
     def span(self, name, **attrs):
         self.touches += 1
+        self.span_touches += 1
         return super().span(name, **attrs)
 
     def count(self, name, value=1):
@@ -238,6 +277,17 @@ class _TouchCountingTracer(NullTracer):
 
     def event(self, name, **attrs):
         self.touches += 1
+
+
+def _per_call_s(fn, reps):
+    """Best-of-5 seconds per call of ``fn`` over ``reps`` calls."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best
 
 
 class TestNoOpOverhead:
@@ -249,13 +299,7 @@ class TestNoOpOverhead:
         run, measure the per-touch cost of the no-op tracer directly,
         and compare the product against the measured optimize latency.
         """
-        from repro.bench.synthetic_setup import latency_setup
-        from repro.core.optimizer import Robopt
-        from repro.workloads import synthetic
-
-        registry, schema, model, _ = latency_setup(2)
-        robopt = Robopt(registry, model, schema=schema)
-        plan = synthetic.pipeline_plan(20)
+        robopt, plan = _fig9_micro()
         robopt.optimize(plan)  # warm caches
         latency = min(robopt.optimize(plan).stats.latency_s for _ in range(3))
 
@@ -277,6 +321,39 @@ class TestNoOpOverhead:
         overhead = per_touch * touches
         assert overhead < 0.05 * latency, (
             f"no-op tracing cost {overhead * 1e6:.1f}us "
+            f"vs latency {latency * 1e6:.1f}us"
+        )
+
+    def test_counter_tracer_overhead_below_5pct_of_fig9_micro(self):
+        """The daemon's counters-only tracer must cost <5% of a Fig. 9-style
+        optimize: span touches at the measured cost of an enabled
+        ``span``, every other touch at the cost of a ``count``."""
+        robopt, plan = _fig9_micro()
+        robopt.optimize(plan)  # warm caches
+        latency = min(robopt.optimize(plan).stats.latency_s for _ in range(3))
+
+        touch = _TouchCountingTracer()
+        with use_tracer(touch):
+            robopt.optimize(plan)
+        assert touch.span_touches > 0, "the hot path should be instrumented"
+
+        tracer = CounterTracer()
+
+        def span_touch():
+            if tracer.enabled:  # the guard every instrumented site pays
+                with tracer.span("x", rows=1) as span:
+                    span.set(survivors=1)
+
+        def count_touch():
+            if tracer.enabled:
+                tracer.count("c", 3)
+
+        reps = max(1000, touch.touches * 10)
+        overhead = touch.span_touches * _per_call_s(span_touch, reps) + (
+            touch.touches - touch.span_touches
+        ) * _per_call_s(count_touch, reps)
+        assert overhead < 0.05 * latency, (
+            f"counters-only tracing cost {overhead * 1e6:.1f}us "
             f"vs latency {latency * 1e6:.1f}us"
         )
 

@@ -1102,3 +1102,18 @@ class TestStages:
         assert (report.cache_hits, report.cache_misses) == (0, 1)
         assert report.n_failed == 3
         assert all(o.error == "RuntimeError: boom" for o in report.outcomes)
+
+    def test_followers_of_a_quarantined_representative_are_quarantined(
+        self, registry
+    ):
+        """A follower fails the way its representative did: its outcome
+        carries the same failure flags, so ``n_quarantined`` counts it."""
+        service = self._service(registry, cache=PlanCache(), quarantine_after=1)
+        jobs = [BatchJob(name, build_pipeline(3)) for name in ("a", "b")]
+        service.quarantine.record_worker_death(
+            plan_fingerprint(jobs[0].prepared_plan(), registry)
+        )
+        report = service.optimize_batch(jobs)
+        assert report.n_failed == 2
+        assert report.n_quarantined == 2
+        assert all(o.error.startswith("quarantined") for o in report.outcomes)

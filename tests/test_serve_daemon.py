@@ -13,7 +13,9 @@ The daemon's contracts (see ``repro/serve/daemon.py``):
   coalesced siblings of its in-flight work;
 * a ``shutdown`` frame (or SIGTERM, tested via subprocess) drains:
   in-flight jobs are answered, new ones get ``shutting_down``, and the
-  process exits 0.
+  process exits 0;
+* by default the daemon keeps counters but no spans, and its ``stats``
+  counters are those a full ``Tracer`` would have counted.
 
 The in-process tests host the daemon's event loop in a background
 thread (asyncio signal handlers need the main thread, so drain is
@@ -32,6 +34,7 @@ import time
 
 import pytest
 
+from repro.obs import CounterTracer, Tracer
 from repro.resilience import PROFILES, ChaosProfile
 from repro.rheem.platforms import synthetic_registry
 from repro.rheem.serialization import plan_to_dict
@@ -303,6 +306,80 @@ class TestCoalescing:
         assert responses["owner"].predicted_runtime == pytest.approx(
             responses["rider"].predicted_runtime
         )
+
+
+class _SlowFor:
+    """Delegates to ``inner``; a plan named ``name`` takes ``sleep_s`` longer."""
+
+    def __init__(self, inner, name, sleep_s):
+        self.inner, self.name, self.sleep_s = inner, name, sleep_s
+
+    @property
+    def registry(self):
+        return self.inner.registry
+
+    def optimize(self, plan, *args, **kwargs):
+        if plan.name == self.name:
+            time.sleep(self.sleep_s)
+        return self.inner.optimize(plan, *args, **kwargs)
+
+
+class TestCountersOnly:
+    """The daemon counts always and keeps spans only when given a Tracer."""
+
+    @staticmethod
+    def _serve(tmp_path, tag, tracer=None):
+        """50 answered requests: 20 fresh answers, 28 exact-cache hits and
+        one coalesced pair; returns the daemon's tracer and stats frame."""
+        from repro.bench.synthetic_setup import latency_setup
+        from repro.core.optimizer import Robopt
+
+        registry, schema, model, _ = latency_setup(N_PLATFORMS)
+        service = BatchOptimizationService(
+            lambda: _SlowFor(Robopt(registry, model, schema=schema), "slow", 1.0),
+            registry,
+            workers=0,
+            cache=PlanCache(),
+        )
+        fresh = [
+            _plan_request(build_pipeline(n), size_bytes=2**20 * 16**k)
+            for n in (2, 3, 4, 5, 6)
+            for k in range(4)
+        ]
+        slow = _named(build_pipeline(3), "slow")
+        coalesced = []
+
+        def ask(delay):
+            time.sleep(delay)
+            with ServeClient(harness.address) as client:
+                coalesced.append(client.optimize(_plan_request(slow)).coalesced)
+
+        with run_daemon(service, tracer, unix_path=str(tmp_path / f"{tag}.sock")) as harness:
+            with ServeClient(harness.address) as client:
+                answers = [client.optimize(r) for r in fresh + fresh + fresh[:8]]
+                assert all(a.ok for a in answers)
+                assert sum(a.cached for a in answers) == 28
+            threads = [threading.Thread(target=ask, args=(d,)) for d in (0.0, 0.4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert sorted(coalesced) == [False, True]
+            with ServeClient(harness.address) as client:
+                stats = client.stats()
+        return harness.tracer, stats
+
+    def test_default_daemon_keeps_no_spans_and_counts_like_a_tracer(self, tmp_path):
+        default, counted = self._serve(tmp_path, "default")
+        full, traced = self._serve(tmp_path, "traced", Tracer())
+        assert isinstance(default, CounterTracer)
+        assert not hasattr(default, "spans")
+        assert len(full.spans) > 50  # the same traffic, traced
+        assert counted.counters == traced.counters
+        for name in ("serve.jobs_coalesced", "serve.cache.hits", "model.calls",
+                     "enumerate.merges"):
+            assert counted.counters[name] > 0, name
+        assert counted.counters["serve.daemon.requests"] == 50
 
 
 class TestAdmissionControl:
